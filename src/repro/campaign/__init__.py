@@ -18,13 +18,14 @@ Entry points:
   the built-in characterization workloads
   (:mod:`repro.campaign.registry`);
 * :func:`run_campaign` -- the parallel, crash-hardened runner
-  (per-attempt process isolation, timeouts, backoff retries,
-  quarantine) returning per-task results, :class:`CampaignStats`, and
-  structured :class:`TaskFailure` records
-  (:mod:`repro.campaign.runner`);
-* :class:`WarmPool` -- the persistent pre-forked execution engine
-  behind ``isolation="warm"``: same fault semantics, milliseconds less
-  dispatch overhead per task (:mod:`repro.campaign.warmpool`).
+  (timeouts, backoff retries, quarantine) returning per-task results,
+  :class:`CampaignStats`, and structured :class:`TaskFailure` records;
+  it runs serially in-process or, when it needs workers or a timeout,
+  on a warm pool (:mod:`repro.campaign.runner`);
+* :class:`WarmPool` -- the one isolated execution engine: persistent
+  pre-forked worker processes that stream tasks over pipes, recycling
+  a worker that hangs, dies, or reaches ``max_tasks_per_worker``
+  (:mod:`repro.campaign.warmpool`).
 
 The higher-level sweeps (:func:`repro.dse.explorer.explore_gear_space`,
 :func:`repro.adders.characterize.characterize_ripple_family`,

@@ -1,14 +1,11 @@
-"""Warm persistent worker pool: amortized process isolation.
+"""Warm persistent worker pool: the campaign layer's isolated engine.
 
-The hardened runner's process-per-attempt executor
-(:class:`repro.campaign.runner._IsolatedExecutor`) buys airtight fault
-containment at a steep price: every attempt pays a full
-``multiprocessing.Process`` spawn (fork + pipe setup + scheduler churn,
-milliseconds) before the task -- often hundreds of microseconds of real
-work -- even starts.  For the short tasks that dominate service traffic
-and fine-grained sweeps, dispatch is the bottleneck, not compute.
-
-:class:`WarmPool` keeps the containment and kills the overhead:
+Every campaign call that needs process isolation (``n_workers > 1`` or a
+``timeout_s``, see :func:`~repro.campaign.runner.run_campaign`) and
+every service job runs here.  Forking a fresh ``multiprocessing.Process``
+per attempt would cost milliseconds (fork + pipe setup + scheduler
+churn) before a task -- often hundreds of microseconds of real work --
+even starts; :class:`WarmPool` keeps the containment without that cost:
 
 * **Pre-forked, long-lived workers** -- each worker process is spawned
   once, imports the heavy dependency stack once
@@ -24,19 +21,19 @@ and fine-grained sweeps, dispatch is the bottleneck, not compute.
   fresh worker forked in its place; tasks queued behind the dead head
   migrate to the replacement without being charged an attempt.  Retry,
   deterministic backoff, quarantine, and the
-  :class:`~repro.campaign.runner.TaskFailure` schema are bit-identical
-  to the process-per-attempt executor's.
+  :class:`~repro.campaign.runner.TaskFailure` schema match the serial
+  in-process path of :func:`~repro.campaign.runner.run_campaign`.
 * **Two front-ends** -- the single-threaded campaign scheduler
   (:meth:`WarmPool.run_tasks`, used by
-  :func:`~repro.campaign.runner.run_campaign` under
-  ``isolation="warm"``) and a thread-safe lease API
-  (:meth:`WarmPool.execute`) for concurrent submitters such as the
+  :func:`~repro.campaign.runner.run_campaign`) and a thread-safe lease
+  API (:meth:`WarmPool.execute`) for concurrent submitters such as the
   service's worker bridge (:mod:`repro.service.workers`).
 
-Worker state *persists across tasks* in this mode -- that is the whole
-point -- so process-per-attempt (``isolation="process"``) remains the
-default and the right choice for chaos-prone or quarantine-heavy task
-kinds where a contaminated interpreter must not outlive an attempt.
+Worker state *persists across tasks* -- that is the whole point.  A
+pool built with ``max_tasks_per_worker=1`` recycles each worker after
+every task on both front-ends, so every attempt gets a fresh
+interpreter (at the cost of one fork per task) for task kinds that must
+not share one.
 """
 
 from __future__ import annotations
@@ -52,6 +49,13 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .registry import execute_task
+from .runner import (
+    TaskAttemptFailure,
+    TaskFailure,
+    _backoff_delay,
+    _error_attempt,
+    _Pending,
+)
 from .task import CampaignTask
 
 __all__ = ["WarmPool", "PRELOAD_MODULES"]
@@ -156,8 +160,6 @@ class _WorkerHandle:
 
 
 def _timeout_failure(attempt: int, timeout_s: float, elapsed_s: float):
-    from .runner import TaskAttemptFailure
-
     return TaskAttemptFailure(
         attempt=attempt,
         outcome="timeout",
@@ -168,8 +170,6 @@ def _timeout_failure(attempt: int, timeout_s: float, elapsed_s: float):
 
 
 def _crash_failure(attempt: int, exitcode: Optional[int], elapsed_s: float):
-    from .runner import TaskAttemptFailure
-
     return TaskAttemptFailure(
         attempt=attempt,
         outcome="crash",
@@ -188,25 +188,17 @@ def _classify_message(
     """Map one worker message to ``("ok", (result, task_elapsed))`` or
     ``("fail", TaskAttemptFailure)``.
 
-    Verdicts match the hardened runner bit for bit, including rejecting
-    an attempt that *completed* over budget by the worker's own clock
-    (so timeout verdicts never depend on parent polling latency).
+    An attempt that *completed* over budget by the worker's own clock is
+    rejected as a timeout, so timeout verdicts never depend on parent
+    polling latency.
     """
-    from .runner import TaskAttemptFailure
-
     if message[0] == "ok":
         task_elapsed = message[2]
         if timeout_s is not None and task_elapsed > timeout_s:
             return "fail", _timeout_failure(attempt, timeout_s, task_elapsed)
         return "ok", (message[1], task_elapsed)
     _, error_type, text, trace = message
-    return "fail", TaskAttemptFailure(
-        attempt=attempt,
-        outcome="error",
-        error_type=error_type,
-        message=(text or trace.strip().splitlines()[-1])[:500],
-        elapsed_s=elapsed_s,
-    )
+    return "fail", _error_attempt(attempt, error_type, text, trace, elapsed_s)
 
 
 class WarmPool:
@@ -218,10 +210,11 @@ class WarmPool:
             campaign scheduler (:meth:`run_tasks`); amortizes pipe
             wakeups without widening any timeout window.
         max_tasks_per_worker: Optional hygiene bound -- a worker that
-            has executed this many tasks is recycled at the next idle
-            moment, bounding cross-task state accumulation.
+            has been sent this many tasks is recycled before it gets
+            another, bounding cross-task state accumulation; ``1``
+            gives every task attempt a fresh process.
         context: ``multiprocessing`` context (defaults to the platform
-            default, matching the hardened runner).
+            default).
 
     The pool is a context manager; :meth:`close` (or ``with``-exit)
     kills every worker.  Counters (:attr:`n_spawned`,
@@ -240,6 +233,11 @@ class WarmPool:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if max_tasks_per_worker is not None and max_tasks_per_worker < 1:
+            raise ValueError(
+                "max_tasks_per_worker must be >= 1, "
+                f"got {max_tasks_per_worker}"
+            )
         self.n_workers = n_workers
         self.batch_size = batch_size
         self.max_tasks_per_worker = max_tasks_per_worker
@@ -376,8 +374,6 @@ class WarmPool:
             ``(result, None)`` on success, ``(None, TaskFailure)``
             after the last failed attempt.
         """
-        from .runner import TaskAttemptFailure, TaskFailure, _backoff_delay
-
         max_attempts = max(1, max_attempts)
         deadline_at = (
             time.monotonic() + deadline_s if deadline_s is not None else None
@@ -499,8 +495,8 @@ class WarmPool:
     ) -> None:
         """Stream a campaign's unique tasks over the warm workers.
 
-        Single-threaded scheduler with the exact retry / timeout /
-        quarantine semantics of the process-per-attempt executor, but
+        Single-threaded scheduler with the retry / timeout / quarantine
+        semantics of :func:`~repro.campaign.runner.run_campaign`,
         dispatching micro-batches onto persistent workers.  Checks
         every worker out of the lease queue for the duration, so a pool
         shared with a service bridge is driven safely by one front-end
@@ -568,8 +564,6 @@ class _WarmScheduler:
         self.stats = stats
 
     def run(self, to_run, on_success, on_quarantine) -> None:
-        from .runner import _Pending
-
         pending = deque(_Pending(index, task) for index, task in to_run)
         while pending or any(state.slots for state in self.states):
             if all(worker is None for worker in self.workers):
@@ -583,12 +577,21 @@ class _WarmScheduler:
 
     def _dispatch(self, pending: deque) -> None:
         now = time.monotonic()
+        bound = self.pool.max_tasks_per_worker
         for i, worker in enumerate(self.workers):
             if worker is None or self.states[i].slots or not pending:
                 continue
+            room = self.pool.batch_size
+            if bound is not None:
+                if worker.n_dispatched >= bound:
+                    self._replace(i)
+                    worker = self.workers[i]
+                    if worker is None:
+                        continue
+                room = min(room, bound - worker.n_dispatched)
             batch: list = []
             for _ in range(len(pending)):
-                if len(batch) >= self.pool.batch_size:
+                if len(batch) >= room:
                     break
                 slot = pending.popleft()
                 if slot.not_before > now:
@@ -696,8 +699,7 @@ class _WarmScheduler:
     def _fail_head(
         self, i, failure, pending, on_quarantine, requeue_rest=False
     ) -> None:
-        from .runner import _record_attempt_failure
-
+        """Charge the head task one failed attempt: requeue or quarantine."""
         state = self.states[i]
         slot = state.slots.popleft()
         if requeue_rest:
@@ -706,10 +708,18 @@ class _WarmScheduler:
             while state.slots:
                 pending.appendleft(state.slots.pop())
         state.head_started = time.monotonic()
-        _record_attempt_failure(
-            slot, failure, pending, on_quarantine, self.stats,
-            self.max_attempts, self.backoff_base_s, self.backoff_max_s,
-        )
+        slot.failures.append(failure)
+        if slot.attempt < self.max_attempts:
+            self.stats.n_retries += 1
+            delay = _backoff_delay(
+                slot.task, slot.attempt, self.backoff_base_s,
+                self.backoff_max_s,
+            )
+            slot.attempt += 1
+            slot.not_before = time.monotonic() + delay
+            pending.append(slot)
+        else:
+            on_quarantine(slot)
 
     def _replace(self, i: int) -> Optional[int]:
         """Recycle worker ``i`` in place; returns the old exit code."""

@@ -43,7 +43,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Sequence
 
@@ -651,7 +650,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             tenants=tenants,
             allow_chaos=args.allow_chaos,
-            isolation=args.isolation or "warm",
             state_dir=args.state_dir,
             slo=slo,
         ))
@@ -725,12 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign worker processes (1 = serial)")
         p.add_argument("--cache-dir", default=None,
                        help="campaign result cache (warm start / resume)")
-        p.add_argument("--isolation", choices=["process", "warm"],
-                       default=None,
-                       help="execution engine for isolated attempts: "
-                            "'process' spawns a worker per attempt, "
-                            "'warm' streams tasks over a persistent "
-                            "pre-forked pool (results are identical)")
 
     p = sub.add_parser(
         "characterize-adders", help="Table III characterization"
@@ -901,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default policy; QUOTA caps stored result bytes")
     p.add_argument("--allow-chaos", action="store_true",
                    help="also serve chaos_* kinds (testing only)")
-    p.add_argument("--isolation", choices=["process", "warm"],
-                   default="warm",
-                   help="job execution engine: persistent warm pool "
-                        "(default) or process-per-attempt")
     p.add_argument("--state-dir", default=None,
                    help="crash-safety directory: durable job journal "
                         "(replayed on restart) plus the result store "
@@ -936,11 +924,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "isolation", None) and args.func is not _cmd_serve:
-        # Campaign subcommands thread the engine choice through the
-        # runner's environment knob so every nested run_campaign call
-        # (sweeps, verify, resilience) picks it up.
-        os.environ["REPRO_CAMPAIGN_ISOLATION"] = args.isolation
     return args.func(args)
 
 

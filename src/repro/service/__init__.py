@@ -21,9 +21,9 @@ many concurrent clients:
   meets it, and requests that cannot are rewritten to the exact
   fallback before they ever run.
 * :class:`WorkerPool` (:mod:`repro.service.workers`) -- the bridge onto
-  :func:`repro.campaign.run_campaign`: single-flight deduplication per
-  task hash, hardened execution (per-attempt process isolation,
-  timeouts, quarantine) for jobs that request it.
+  the campaign layer's :class:`~repro.campaign.warmpool.WarmPool`:
+  single-flight deduplication per task hash and hardened execution
+  (worker processes, timeouts, retries, quarantine) for every job.
 * :class:`JobJournal` (:mod:`repro.service.journal`) -- the durable
   append-only admission/event log behind ``--state-dir``: a killed
   server replays it on restart and re-admits every job it had promised.

@@ -34,7 +34,10 @@ A submitted job is admission-negotiated (QoS budgets against the exact
 analytic predictor), optionally degraded by the overload brownout
 controller, content-addressed by its stable campaign task hash,
 answered from the shared store when warm, and otherwise queued
-weighted-fair per tenant.
+weighted-fair per tenant.  Queued jobs of every kind, ``chaos_*``
+included, execute on the worker pool's persistent pre-forked
+:class:`~repro.campaign.warmpool.WarmPool`, never inside the server
+process.
 
 With a ``state_dir``, every accepted admission and every job event is
 written to the durable :class:`~repro.service.journal.JobJournal`
@@ -81,13 +84,10 @@ DEFAULT_TENANT = "public"
 class ServiceConfig:
     """Deployment knobs of one :class:`ServiceApp`.
 
-    ``isolation`` selects the execution engine behind the worker pool:
-    ``"warm"`` (default) runs jobs on a persistent pre-forked
-    :class:`~repro.campaign.warmpool.WarmPool`; ``"process"`` spawns a
-    fresh worker process per attempt (``chaos_*`` kinds always use the
-    process engine regardless).  ``shutdown_grace_s`` bounds how long
-    :meth:`ServiceApp.stop` waits for in-flight jobs before failing
-    them with a terminal ``shutdown`` event.
+    Every job runs on the worker pool's persistent pre-forked
+    :class:`~repro.campaign.warmpool.WarmPool`.  ``shutdown_grace_s``
+    bounds how long :meth:`ServiceApp.stop` waits for in-flight jobs
+    before failing them with a terminal ``shutdown`` event.
 
     ``state_dir`` turns on crash safety: the job journal lives in
     ``<state_dir>/journal/`` and, unless ``cache_dir`` is set
@@ -111,7 +111,6 @@ class ServiceConfig:
     allow_chaos: bool = False
     max_jobs_retained: int = 10_000
     clock: Optional[Callable[[], float]] = None
-    isolation: str = "warm"
     shutdown_grace_s: float = 5.0
     state_dir: Optional[str] = None
     wall_clock: Optional[Callable[[], float]] = None
@@ -150,11 +149,7 @@ class ServiceApp:
             clock=self.tenants.clock,
             enabled=self.config.slo is not None,
         )
-        self.pool = WorkerPool(
-            self,
-            n_workers=self.config.n_workers,
-            isolation=self.config.isolation,
-        )
+        self.pool = WorkerPool(self, n_workers=self.config.n_workers)
         self.jobs: Dict[str, Job] = {}
         self._job_order: List[str] = []
         self._next_job = 0

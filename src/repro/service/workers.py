@@ -1,23 +1,16 @@
-"""Worker-pool bridge from the async service onto the campaign engines.
+"""Worker-pool bridge from the async service onto the warm pool.
 
 Each worker is an asyncio task draining the weighted-fair queue.  A
-popped job executes in a worker thread (``asyncio.to_thread``) on one
-of two engines:
-
-* the **warm engine** (default): a persistent pre-forked
-  :class:`~repro.campaign.warmpool.WarmPool` shared by all workers.
-  Each job is one pipe round-trip to an already-imported worker
-  process -- no per-job ``multiprocessing`` spawn -- with the same
-  hardened semantics the batch path has: a job with a ``timeout_s``
-  that wedges its warm worker gets the worker SIGKILLed and respawned,
-  failures retry with deterministic backoff up to ``max_attempts``,
-  and exhausted jobs surface the campaign's structured
-  :class:`~repro.campaign.runner.TaskFailure` record.
-* **process-per-attempt** (``isolation="process"``, and always for
-  ``chaos_*`` kinds): the classic
-  :func:`repro.campaign.run_campaign` path where every attempt gets a
-  fresh worker process.  Chaos kinds stay here by design -- a task
-  written to contaminate its interpreter should never share one.
+popped job executes in a worker thread (``asyncio.to_thread``) on a
+persistent pre-forked :class:`~repro.campaign.warmpool.WarmPool` shared
+by all workers -- every kind, ``chaos_*`` included, so no job ever runs
+inside the server process.  Each job is one pipe round-trip to an
+already-imported worker process, with the hardened semantics of the
+batch path: a job whose worker wedges past its ``timeout_s`` or dies
+under it gets the worker killed and respawned, failures retry with
+deterministic backoff up to ``max_attempts``, and exhausted jobs
+surface the campaign's structured
+:class:`~repro.campaign.runner.TaskFailure` record.
 
 **Single-flight deduplication**: jobs are content-addressed by their
 stable task hash, so when several tenants submit the identical request
@@ -38,7 +31,7 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..campaign import CampaignTask, run_campaign
+from ..campaign import CampaignTask
 from ..campaign.warmpool import WarmPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,23 +42,13 @@ __all__ = ["WorkerPool"]
 
 
 class WorkerPool:
-    """N asyncio workers bridging the fair queue to the campaign engines."""
+    """N asyncio workers bridging the fair queue to the warm pool."""
 
-    def __init__(
-        self,
-        app: "ServiceApp",
-        n_workers: int = 2,
-        isolation: str = "warm",
-    ) -> None:
+    def __init__(self, app: "ServiceApp", n_workers: int = 2) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if isolation not in ("warm", "process"):
-            raise ValueError(
-                f"isolation must be 'warm' or 'process', got {isolation!r}"
-            )
         self.app = app
         self.n_workers = n_workers
-        self.isolation = isolation
         self.warm: Optional[WarmPool] = None
         self._tasks: List[asyncio.Task] = []
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -80,8 +63,7 @@ class WorkerPool:
             raise RuntimeError("worker pool already started")
         if paused:
             self.app.queue.pause()
-        if self.isolation == "warm":
-            self.warm = WarmPool(n_workers=self.n_workers).start()
+        self.warm = WarmPool(n_workers=self.n_workers).start()
         self._tasks = [
             asyncio.create_task(self._worker_loop(i), name=f"svc-worker-{i}")
             for i in range(self.n_workers)
@@ -259,51 +241,29 @@ class WorkerPool:
     ) -> Tuple[Any, Optional[Dict[str, Any]]]:
         """Blocking body: one hardened task execution on a worker thread.
 
-        Non-chaos kinds ride the warm pool (one pipe round-trip on a
-        persistent worker; hung workers are recycled there).  Chaos
-        kinds -- and everything when ``isolation="process"`` -- run the
-        classic single-task campaign with per-attempt process spawns.
-        ``deadline_s`` (remaining end-to-end budget, net of queue wait)
-        caps both engines so a deadlined job can never outlive its
-        promise.
+        One pipe round-trip on a persistent worker; hung or dead
+        workers are recycled by the pool.  ``deadline_s`` (remaining
+        end-to-end budget, net of queue wait) caps every attempt so a
+        deadlined job can never outlive its promise.
         """
         spec = job.decision.spec
-        task = self._task_for(job)
-        if self.warm is not None and not spec.kind.startswith("chaos_"):
-            result, task_failure = self.warm.execute(
-                task,
-                timeout_s=spec.timeout_s,
-                max_attempts=spec.max_attempts,
-                backoff_base_s=0.05,
-                backoff_max_s=1.0,
-                deadline_s=deadline_s,
-            )
-            if task_failure is None:
-                return result, None
-            failure = task_failure.to_record()
-            failure["error"] = "task_failed"
-            return None, failure
-        result = run_campaign(
-            [task],
-            n_workers=1,
-            cache_dir=None,  # the SharedResultStore owns persistence
+        result, task_failure = self.warm.execute(
+            self._task_for(job),
             timeout_s=spec.timeout_s,
             max_attempts=spec.max_attempts,
             backoff_base_s=0.05,
             backoff_max_s=1.0,
-            isolation="process",
             deadline_s=deadline_s,
         )
-        if result.ok:
-            return result.results[0], None
-        failure = result.failures[0].to_record()
+        if task_failure is None:
+            return result, None
+        failure = task_failure.to_record()
         failure["error"] = "task_failed"
         return None, failure
 
     def to_record(self) -> Dict[str, Any]:
         record = {
             "n_workers": self.n_workers,
-            "isolation": self.isolation,
             "running": not self.app.queue.paused,
             "inflight": len(self._inflight),
             "n_campaign_executions": self.n_campaign_executions,

@@ -4,15 +4,15 @@
 absolute deadline is stamped on the job in *wall* time, so it stays
 meaningful across a restart), the queue (aged-out jobs fail fast with
 ``deadline_exceeded``/``queue_wait`` before touching a worker), and
-both execution engines (the remaining budget clamps attempt timeouts
-and backoff in the warm pool and the process-per-attempt runner).
+execution (the remaining budget clamps attempt timeouts and backoff in
+the warm pool).
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.campaign import CampaignTask, run_campaign
+from repro.campaign import CampaignTask
 from repro.campaign.warmpool import WarmPool
 
 
@@ -162,14 +162,3 @@ class TestExecutionBudget:
         # 5 s backoffs, so retries are abandoned once it is spent.
         assert len(failure.attempts) < 5
         assert failure.attempts[-1].outcome == "timeout"
-
-    def test_run_campaign_deadline_clamps_open_ended_timeout(self):
-        result = run_campaign(
-            [CampaignTask(kind="chaos_hang", params={"sleep_s": 30.0})],
-            timeout_s=None,
-            max_attempts=1,
-            deadline_s=0.4,
-            isolation="process",
-        )
-        assert not result.ok
-        assert result.failures[0].attempts[0].outcome == "timeout"

@@ -140,7 +140,6 @@ class TestPersistentConnections:
                 ])
                 record, stats = _split_responses(raw)
                 assert record[2]["state"] == "done"
-                assert stats[2]["workers"]["isolation"] == "warm"
 
         asyncio.run(body())
 

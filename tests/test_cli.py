@@ -215,21 +215,3 @@ class TestIsolationFlags:
         # Omitted or empty quota field means unlimited.
         assert _parse_tenant_spec("free:1").max_result_bytes is None
         assert _parse_tenant_spec("free:1:::256:").max_result_bytes is None
-
-    def test_serve_parser_accepts_isolation(self):
-        args = build_parser().parse_args(["serve", "--isolation", "process"])
-        assert args.isolation == "process"
-        assert build_parser().parse_args(["serve"]).isolation == "warm"
-
-    def test_campaign_isolation_flag_sets_env_default(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        import os
-
-        monkeypatch.delenv("REPRO_CAMPAIGN_ISOLATION", raising=False)
-        assert main(["explore-gear", "--width", "8", "--model",
-                     "monte-carlo", "--samples", "500", "--seed", "1",
-                     "--cache-dir", str(tmp_path / "c"),
-                     "--isolation", "warm"]) == 0
-        assert os.environ.get("REPRO_CAMPAIGN_ISOLATION") == "warm"
-        assert "max accuracy" in capsys.readouterr().out
