@@ -51,6 +51,15 @@ def _fused_add_lut(adder: ApproximateRippleAdder):
         T[(x << s) | y] = adder.add(x, y)          (y < 2**s)
         adder.add(a, b) = T[(a << s) | (b & lo)] + (b - (b & lo))
 
+    The same conditions let the table itself be built without rippling
+    every entry: x's accurate MSBs pass through exactly too, so
+
+        adder.add(x, y) = ((x >> s) << s) + adder.add(x & lo, y)
+
+    and only the ``2**s x 2**s`` block of low-segment sums goes through
+    the adder; the ``2**(w+s)`` entries are that block broadcast over
+    every MSB prefix ``x >> s`` (``T`` is row-major in ``x``).
+
     Returns ``"native"`` for exact levels (``s == 0``: the trusted add
     is literally ``a + b``), the table for fusable levels, or ``None``
     when the table would be too large or the accurate cell is not the
@@ -63,10 +72,12 @@ def _fused_add_lut(adder: ApproximateRippleAdder):
         return "native"
     if adder.width + s > _FUSED_ADD_LUT_MAX_BITS:
         return None
-    table = adder.add(
-        np.repeat(np.arange(1 << adder.width, dtype=np.int64), 1 << s),
-        np.tile(np.arange(1 << s, dtype=np.int64), 1 << adder.width),
+    block = adder.add(
+        np.repeat(np.arange(1 << s, dtype=np.int64), 1 << s),
+        np.tile(np.arange(1 << s, dtype=np.int64), 1 << s),
     )
+    prefixes = np.arange(1 << (adder.width - s), dtype=np.int64) << s
+    table = (prefixes[:, None] + block[None, :]).ravel()
     table.setflags(write=False)
     return table
 
@@ -177,7 +188,9 @@ class SADAccelerator:
         # Fused-LUT datapath (fast engines only): the per-pixel |a - b|
         # stage and each tree-level add each collapse into a single
         # int64 gather.  Bit-identical by construction -- every table is
-        # filled by evaluating the corresponding ripple-adder stage.
+        # filled by evaluating the corresponding ripple-adder stage (the
+        # tree tables over their approximate low segment only, see
+        # _fused_add_lut).
         self._absdiff_lut: np.ndarray | None = None
         self._tree_fused: list = []
         if eval_mode != "loop":

@@ -302,14 +302,12 @@ def _filter_ssim(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """
     from ..accelerators.filters import LowPassFilterAccelerator, gaussian3x3_exact
     from ..media.ssim import ssim
-    from ..media.synthetic import standard_images
+    from ..media.synthetic import standard_image
 
     image_name = params["image"]
-    images = standard_images(size=int(params.get("size", 64)), seed=seed)
-    if image_name not in images:
-        known = ", ".join(sorted(images))
-        raise KeyError(f"unknown standard image {image_name!r}; known: {known}")
-    image = images[image_name]
+    image = standard_image(
+        image_name, size=int(params.get("size", 64)), seed=seed
+    )
     accelerator = LowPassFilterAccelerator(
         fa=params.get("fa", "AccuFA"),
         approx_lsbs=int(params.get("approx_lsbs", 0)),

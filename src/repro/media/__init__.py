@@ -10,6 +10,7 @@ from .synthetic import (
     gradient_image,
     moving_sequence,
     sinusoid_image,
+    standard_image,
     standard_images,
     value_noise_image,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "gradient_image",
     "moving_sequence",
     "sinusoid_image",
+    "standard_image",
     "standard_images",
     "value_noise_image",
 ]

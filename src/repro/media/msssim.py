@@ -30,11 +30,12 @@ def _luminance_cs(
     window = gaussian_window(window_size, sigma)
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
-    mu_x = _filter2_valid(x, window)
-    mu_y = _filter2_valid(y, window)
-    sigma_xx = _filter2_valid(x * x, window) - mu_x * mu_x
-    sigma_yy = _filter2_valid(y * y, window) - mu_y * mu_y
-    sigma_xy = _filter2_valid(x * y, window) - mu_x * mu_y
+    mu_x, mu_y, e_xx, e_yy, e_xy = _filter2_valid(
+        np.stack([x, y, x * x, y * y, x * y]), window
+    )
+    sigma_xx = e_xx - mu_x * mu_x
+    sigma_yy = e_yy - mu_y * mu_y
+    sigma_xy = e_xy - mu_x * mu_y
     luminance = (2 * mu_x * mu_y + c1) / (mu_x**2 + mu_y**2 + c1)
     cs = (2 * sigma_xy + c2) / (sigma_xx + sigma_yy + c2)
     return float(np.mean(luminance)), float(np.mean(cs))

@@ -32,17 +32,24 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 
 
 def _filter2_valid(image: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """2-D correlation with 'valid' boundary handling (no padding bias)."""
+    """2-D correlation with 'valid' boundary handling (no padding bias).
+
+    Filters over the last two axes, so a stack of planes (any leading
+    axes) is filtered in one pass; every output element still sees the
+    same tap-by-tap multiply/add sequence, so each plane of the result
+    is bit-identical to filtering that plane alone.
+    """
     wh, ww = window.shape
-    ih, iw = image.shape
+    ih, iw = image.shape[-2:]
     if ih < wh or iw < ww:
         raise ValueError(
             f"image {image.shape} smaller than window {window.shape}"
         )
-    out = np.zeros((ih - wh + 1, iw - ww + 1), dtype=np.float64)
+    oh, ow = ih - wh + 1, iw - ww + 1
+    out = np.zeros(image.shape[:-2] + (oh, ow), dtype=np.float64)
     for dy in range(wh):
         for dx in range(ww):
-            out += window[dy, dx] * image[dy : dy + out.shape[0], dx : dx + out.shape[1]]
+            out += window[dy, dx] * image[..., dy : dy + oh, dx : dx + ow]
     return out
 
 
@@ -75,17 +82,18 @@ def ssim_map(
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
 
-    mu_x = _filter2_valid(x, window)
-    mu_y = _filter2_valid(y, window)
+    mu_x, mu_y, e_xx, e_yy, e_xy = _filter2_valid(
+        np.stack([x, y, x * x, y * y, x * y]), window
+    )
     mu_xx = mu_x * mu_x
     mu_yy = mu_y * mu_y
     mu_xy = mu_x * mu_y
     # E[x^2] - E[x]^2 can come out a hair negative on flat regions from
     # floating-point cancellation; true variances are non-negative, so
     # clamp at 0 exactly as the reference SSIM implementation does.
-    sigma_xx = np.maximum(_filter2_valid(x * x, window) - mu_xx, 0.0)
-    sigma_yy = np.maximum(_filter2_valid(y * y, window) - mu_yy, 0.0)
-    sigma_xy = _filter2_valid(x * y, window) - mu_xy
+    sigma_xx = np.maximum(e_xx - mu_xx, 0.0)
+    sigma_yy = np.maximum(e_yy - mu_yy, 0.0)
+    sigma_xy = e_xy - mu_xy
 
     numerator = (2.0 * mu_xy + c1) * (2.0 * sigma_xy + c2)
     denominator = (mu_xx + mu_yy + c1) * (sigma_xx + sigma_yy + c2)

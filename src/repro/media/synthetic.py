@@ -11,7 +11,7 @@ Fig. 10.  All generators are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "edges_image",
     "value_noise_image",
     "flat_noisy_image",
+    "standard_image",
     "standard_images",
     "moving_sequence",
 ]
@@ -72,7 +73,7 @@ def edges_image(size: int = 64, n_bars: int = 5, seed: int = 3) -> np.ndarray:
     img = np.full((size, size), 40.0)
     for _ in range(n_bars):
         pos = int(rng.integers(0, size - size // 8))
-        width = int(rng.integers(2, size // 8))
+        width = int(rng.integers(2, max(3, size // 8)))
         level = float(rng.uniform(120, 255))
         if rng.random() < 0.5:
             img[:, pos : pos + width] = level
@@ -108,21 +109,45 @@ def flat_noisy_image(size: int = 64, sigma: float = 18.0, seed: int = 5) -> np.n
     return _as_uint8(128.0 + rng.normal(0, sigma, size=(size, size)))
 
 
+#: Generator of each standard image, given ``(size, seed)``; the seeded
+#: classes offset the set's seed so each image draws its own stream.
+_STANDARD_IMAGES: Dict[str, Callable[[int, int], np.ndarray]] = {
+    "gradient": lambda size, seed: gradient_image(size),
+    "checkerboard": lambda size, seed: checkerboard_image(size),
+    "sinusoid": lambda size, seed: sinusoid_image(size),
+    "blobs": lambda size, seed: blobs_image(size, seed=seed + 7),
+    "edges": lambda size, seed: edges_image(size, seed=seed + 3),
+    "value_noise": lambda size, seed: value_noise_image(size, seed=seed + 11),
+    "flat_noisy": lambda size, seed: flat_noisy_image(size, seed=seed + 5),
+}
+
+
+def standard_image(name: str, size: int = 64, seed: int = 0) -> np.ndarray:
+    """One image of the :func:`standard_images` set, built alone.
+
+    Equal to ``standard_images(size, seed)[name]`` without synthesizing
+    the other six.
+
+    Raises:
+        KeyError: ``name`` is not one of the seven standard images.
+    """
+    try:
+        generate = _STANDARD_IMAGES[name]
+    except KeyError:
+        known = ", ".join(sorted(_STANDARD_IMAGES))
+        raise KeyError(
+            f"unknown standard image {name!r}; known: {known}"
+        ) from None
+    return generate(size, seed)
+
+
 def standard_images(size: int = 64, seed: int = 0) -> Dict[str, np.ndarray]:
     """The 7-image evaluation set used for the Fig. 10 reproduction.
 
     Seven content classes with deliberately different spectral makeup,
     mirroring the spread of "a random set of input images".
     """
-    return {
-        "gradient": gradient_image(size),
-        "checkerboard": checkerboard_image(size),
-        "sinusoid": sinusoid_image(size),
-        "blobs": blobs_image(size, seed=seed + 7),
-        "edges": edges_image(size, seed=seed + 3),
-        "value_noise": value_noise_image(size, seed=seed + 11),
-        "flat_noisy": flat_noisy_image(size, seed=seed + 5),
-    }
+    return {name: standard_image(name, size, seed) for name in _STANDARD_IMAGES}
 
 
 def moving_sequence(

@@ -177,16 +177,14 @@ def _filter_record(
         gaussian3x3_exact,
     )
     from ..media.ssim import ssim
-    from ..media.synthetic import standard_images
+    from ..media.synthetic import standard_image
     from .arch import FaultyLowPassFilter
 
     image_name = params.get("image", "gradient")
     size = int(params.get("size", 64))
-    images = standard_images(size=size, seed=derive_seed(seed, "image") % 2**31)
-    if image_name not in images:
-        known = ", ".join(sorted(images))
-        raise KeyError(f"unknown standard image {image_name!r}; known: {known}")
-    image = images[image_name]
+    image = standard_image(
+        image_name, size=size, seed=derive_seed(seed, "image") % 2**31
+    )
     accelerator = LowPassFilterAccelerator(
         fa=params.get("fa", "AccuFA"),
         approx_lsbs=int(params.get("approx_lsbs", 0)),

@@ -8,6 +8,8 @@ from repro.accelerators.sad import (
     SADAccelerator,
     make_sad_variants,
 )
+from repro.adders.fulladder import FULL_ADDERS
+from repro.adders.ripple import ApproximateRippleAdder
 
 
 class TestExactSAD:
@@ -159,3 +161,61 @@ class TestTreeReduction:
             a = np.full(n_pixels, 255)
             b = np.zeros(n_pixels, dtype=int)
             assert int(acc.sad(a, b)) == 255 * n_pixels
+
+
+def _rippled_table(fa: str, width: int, s: int) -> np.ndarray:
+    """A tree level's fused table filled the direct way: one ripple add
+    per ``(x, y < 2**s)`` entry over the level's whole domain."""
+    adder = ApproximateRippleAdder(width, approx_fa=fa, num_approx_lsbs=s)
+    return adder.add(
+        np.repeat(np.arange(1 << width, dtype=np.int64), 1 << s),
+        np.tile(np.arange(1 << s, dtype=np.int64), 1 << width),
+    )
+
+
+class TestFusedTreeTables:
+    """The broadcast-built tree tables against per-entry ripple adds.
+
+    With 4-bit pixels the levels are 5 to 10 bits wide, so the larger
+    ``approx_lsbs`` reach ``s == w``, where the low-segment block is the
+    whole table.
+    """
+
+    @pytest.mark.parametrize("pixel_bits", [4, 8])
+    @pytest.mark.parametrize("n_pixels", [4, 7, 64])
+    @pytest.mark.parametrize("fa", sorted(FULL_ADDERS))
+    def test_tables_match_rippled_construction(self, fa, n_pixels, pixel_bits):
+        n_tables = 0
+        for approx_lsbs in range(1, 11):
+            acc = SADAccelerator(n_pixels, pixel_bits, fa, approx_lsbs)
+            for adder, table in zip(acc._tree, acc._tree_fused):
+                if not isinstance(table, np.ndarray):
+                    continue
+                expected = _rippled_table(
+                    fa, adder.width, adder.num_approx_lsbs
+                )
+                assert table.dtype == np.int64
+                assert not table.flags.writeable
+                assert np.array_equal(table, expected), (
+                    approx_lsbs, adder.width
+                )
+                n_tables += 1
+        assert n_tables > 0
+
+    def test_build_adds_only_the_low_segment_block(self, monkeypatch):
+        """Each level ripples at most ``2**(2s)`` pairs, not ``2**(w+s)``."""
+        calls = []
+        real_add = ApproximateRippleAdder.add
+
+        def counting_add(self, a, b, cin=0):
+            out = real_add(self, a, b, cin)
+            if self.width > 8:  # a tree adder, not the 8-bit subtractor
+                calls.append((self.width, self.num_approx_lsbs, np.size(out)))
+            return out
+
+        monkeypatch.setattr(ApproximateRippleAdder, "add", counting_add)
+        SADAccelerator(64, fa="ApxFA1", approx_lsbs=6)
+        assert len(calls) == 6  # levels of width 9..14
+        for width, s, n_pairs in calls:
+            assert s == 6
+            assert n_pairs <= 1 << (2 * s), (width, n_pairs)

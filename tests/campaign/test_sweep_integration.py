@@ -8,6 +8,8 @@ from repro.adders.gear import GeArConfig
 from repro.adders.gear_error import (
     monte_carlo_error_rate_sharded,
 )
+from repro.campaign import CampaignTask
+from repro.campaign.registry import execute_task
 from repro.dse.explorer import explore_gear_space_campaign
 from repro.multipliers.characterize import fig6_multiplier_family
 
@@ -65,6 +67,23 @@ class TestFamilySweepsThroughEngine:
         assert {"name", "fa", "approx_lsbs", "mean_error_distance",
                 "mean_relative_error", "energy_fj"} <= set(records[0])
         assert len(records) == 1 + 5  # AccuSAD + one row per ApxFA cell
+
+    def test_filter_ssim_task_at_small_size(self):
+        """Any size the 11x11 SSIM window accepts, including those where
+        ``size // 8 <= 2`` (11 to 23 pixels)."""
+        task = CampaignTask(
+            "filter_ssim",
+            {"image": "edges", "fa": "ApxFA2", "approx_lsbs": 4, "size": 16},
+            seed=3,
+        )
+        record = execute_task(task)
+        assert record["image"] == "edges"
+        assert 0.0 < record["ssim"] <= 1.0
+
+    def test_filter_ssim_unknown_image_rejected(self):
+        task = CampaignTask("filter_ssim", {"image": "lena"}, seed=0)
+        with pytest.raises(KeyError, match="unknown standard image 'lena'"):
+            execute_task(task)
 
 
 class TestShardedMonteCarlo:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.media.ssim import gaussian_window, ssim, ssim_map
+from repro.media.ssim import _filter2_valid, gaussian_window, ssim, ssim_map
 from repro.media.synthetic import standard_images
 
 
@@ -23,6 +23,26 @@ class TestGaussianWindow:
     def test_even_size_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             gaussian_window(10)
+
+
+class TestStackedFilter:
+    """One pass over a stack of planes equals filtering each plane alone,
+    bit for bit -- ``ssim_map`` relies on it for its local statistics."""
+
+    @pytest.mark.parametrize("size,sigma", [(11, 1.5), (7, 1.0), (1, 1.5)])
+    def test_stack_matches_per_plane(self, rng, size, sigma):
+        window = gaussian_window(size, sigma)
+        x = rng.integers(0, 256, (29, 37)).astype(float)
+        y = np.clip(x + rng.normal(0, 9, x.shape), 0, 255)
+        planes = [x, y, x * x, y * y, x * y]
+        stacked = _filter2_valid(np.stack(planes), window)
+        assert stacked.shape == (5, 30 - size, 38 - size)
+        for i, plane in enumerate(planes):
+            assert np.array_equal(stacked[i], _filter2_valid(plane, window))
+
+    def test_stack_smaller_than_window_rejected(self):
+        with pytest.raises(ValueError, match="smaller"):
+            _filter2_valid(np.zeros((5, 8, 8)), gaussian_window())
 
 
 class TestSsim:

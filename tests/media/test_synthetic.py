@@ -11,6 +11,7 @@ from repro.media.synthetic import (
     gradient_image,
     moving_sequence,
     sinusoid_image,
+    standard_image,
     standard_images,
     value_noise_image,
 )
@@ -66,6 +67,31 @@ class TestImages:
 
         values = {name: roughness(img) for name, img in images.items()}
         assert values["checkerboard"] > 10 * values["gradient"]
+
+
+class TestStandardImage:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 100])
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_matches_the_standard_set(self, size, seed):
+        images = standard_images(size, seed)
+        assert len(images) == 7
+        for name, image in images.items():
+            single = standard_image(name, size, seed)
+            assert single.dtype == image.dtype
+            assert np.array_equal(single, image), name
+
+    def test_unknown_name_lists_known_images(self):
+        with pytest.raises(KeyError, match="unknown standard image") as info:
+            standard_image("lena")
+        for name in standard_images(32):
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize("size", [11, 16, 23])
+    def test_edges_image_at_small_sizes(self, size):
+        image = edges_image(size)
+        assert image.shape == (size, size)
+        assert image.dtype == np.uint8
+        assert len(standard_images(size)) == 7
 
 
 class TestMovingSequence:

@@ -43,6 +43,13 @@ class TestResilienceRecord:
         assert record["rate"] == 0.01
         assert json.loads(json.dumps(record)) == record
 
+    def test_filter_record_at_small_size(self):
+        params = {"workload": "filter", "rate": 0.01, "image": "edges",
+                  "size": 16}
+        record = resilience_record(params, seed=2)
+        assert record["image"] == "edges"
+        assert 0.0 <= record["pixel_error_rate"] <= 1.0
+
     def test_zero_rate_cell_has_no_errors(self):
         record = resilience_record({"workload": "cell", "rate": 0.0}, seed=0)
         assert record["n_flips"] == 0 and record["error_rate"] == 0.0
