@@ -3,12 +3,13 @@
 Compares, over every valid N=11 configuration plus selected wider ones:
 
 * the paper's inclusion-exclusion model (Sec. 4.2),
-* the exact dynamic program,
+* the exact rate of the block-adder error engine's ``(carry, run)``
+  walk (column ``exact_DP``),
 * exhaustive enumeration (N <= 11) or Monte-Carlo (wider),
 
 The headline finding: the paper's event family is complete, so its
-inclusion-exclusion model is *exact* (gap 0 against both the DP and
-enumeration) -- the models differ only in cost, where the DP is
+inclusion-exclusion model is *exact* (gap 0 against both the walk and
+enumeration) -- the models differ only in cost, where the walk is
 polynomial and the expansion is exponential in the event count.
 """
 
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 from repro.adders.gear import GeArConfig
 from repro.adders.gear_error import (
-    exact_error_probability,
     exhaustive_error_rate,
     monte_carlo_error_rate,
     paper_error_probability,
 )
 from repro.characterization.report import format_records
+from repro.errors.analytic import analytic_error_rate
 
 from _util import emit
 
@@ -33,7 +34,7 @@ def sweep_models():
         paper = (
             paper_error_probability(config) if n_events <= 18 else None
         )
-        exact = exact_error_probability(config)
+        exact = analytic_error_rate(config)
         truth = exhaustive_error_rate(config)
         rows.append(
             {
@@ -51,7 +52,7 @@ def sweep_models():
         # order (Bonferroni lower bound) to keep it tractable.
         order = None if n_events <= 18 else 4
         paper = paper_error_probability(config, max_order=order)
-        exact = exact_error_probability(config)
+        exact = analytic_error_rate(config)
         rows.append(
             {
                 "config": config.name,
@@ -76,7 +77,7 @@ def test_error_model_ablation(benchmark):
         data={"rows": rows},
     )
     for row in rows:
-        # The DP is exact: it matches enumeration to double precision
+        # The walk is exact: it matches enumeration to double precision
         # (and Monte Carlo to sampling noise).
         if "N=11" in row["config"]:
             assert abs(row["exact_DP"] - row["ground_truth"]) < 1e-9, row

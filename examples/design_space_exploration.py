@@ -11,13 +11,12 @@ Run:  python3 examples/design_space_exploration.py [N]
 
 import sys
 
-from repro.adders.gear import GeArConfig
-from repro.adders.gear_error import exact_error_probability
 from repro.adders.variants import known_adder_configs
 from repro.characterization.report import format_records
 from repro.dse.explorer import explore_gear_space
 from repro.dse.pareto import pareto_front
 from repro.dse.selection import select_max_accuracy, select_min_area
+from repro.errors.analytic import analytic_error_rate
 
 
 def main() -> None:
@@ -55,7 +54,7 @@ def main() -> None:
     if n >= 16 and n % 8 == 0:
         print("\n== Published adders as GeAr configurations ==")
         for name, config in known_adder_configs(n).items():
-            p_err = exact_error_probability(config)
+            p_err = analytic_error_rate(config)
             print(f"  {name:16s} -> {config.name:22s} "
                   f"accuracy {100 * (1 - p_err):6.2f}%")
 

@@ -27,7 +27,6 @@ from .gear_error import (
     ErrorEvent,
     accuracy_percent,
     error_events,
-    exact_error_probability,
     exhaustive_error_rate,
     monte_carlo_error_rate,
     paper_error_probability,
@@ -64,7 +63,6 @@ __all__ = [
     "ErrorEvent",
     "accuracy_percent",
     "error_events",
-    "exact_error_probability",
     "exhaustive_error_rate",
     "monte_carlo_error_rate",
     "paper_error_probability",

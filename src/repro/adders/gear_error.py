@@ -14,12 +14,12 @@ formula to ground truth:
    (conflicting requirements zero the term), and the union is expanded
    by inclusion-exclusion exactly as printed in the paper.
 
-2. :func:`exact_error_probability` -- an exact dynamic program over the
-   i.i.d. generate/propagate/kill description of the operands.  The
-   approximate sum differs from the exact one iff for some sub-adder
-   ``s >= 1`` the *true* carry into bit ``s*R`` is 1 and all ``P``
-   prediction bits propagate; the DP tracks the running carry and the
-   oldest unresolved prediction watch, giving ``P[error]`` in
+2. The exact rate, from the block-adder error engine
+   (:func:`repro.errors.analytic.analytic_error_rate`): one
+   ``(carry, run)`` walk over the i.i.d. generate/propagate/kill
+   description of the operands, absorbing mass at the first sub-adder
+   whose true carry-in is 1 while all ``P`` prediction bits propagate.
+   It serves homogeneous GeAr and every heterogeneous layout alike in
    ``O(N * P)`` states with no approximation.
 
 3. :func:`monte_carlo_error_rate` / :func:`exhaustive_error_rate` --
@@ -30,11 +30,11 @@ paper's event family is *complete* -- every erroneous operand pair
 triggers at least one ``Z`` event (the generate feeding a missed carry
 always falls inside the fresh R-bit window of some sub-adder, with the
 required propagate run), and every ``Z`` event produces an error -- so
-the inclusion-exclusion model is exact, matching the DP and exhaustive
-enumeration to double precision.  Its cost, however, is exponential in
-``R x (k-1)`` terms, whereas the DP computes the same number in
-``O(N * P)`` states; truncating the expansion at odd/even order gives
-the usual Bonferroni upper/lower bounds.
+the inclusion-exclusion model is exact, matching the walk and
+exhaustive enumeration to double precision.  Its cost, however, is
+exponential in ``R x (k-1)`` terms, whereas the walk computes the same
+number in ``O(N * P)`` states; truncating the expansion at odd/even
+order gives the usual Bonferroni upper/lower bounds.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ __all__ = [
     "ErrorEvent",
     "error_events",
     "paper_error_probability",
-    "exact_error_probability",
     "monte_carlo_error_rate",
-    "monte_carlo_error_rate_sharded",
     "exhaustive_error_rate",
     "accuracy_percent",
 ]
@@ -61,7 +59,6 @@ __all__ = [
 #: Per-bit-position probabilities under i.i.d. uniform operand bits.
 P_GENERATE = 0.25  # a = b = 1
 P_PROPAGATE = 0.5  # a != b
-P_KILL = 0.25  # a = b = 0
 
 
 @dataclass(frozen=True)
@@ -148,59 +145,6 @@ def paper_error_probability(
     return total
 
 
-def exact_error_probability(config: GeArConfig) -> float:
-    """Exact ``P[approx != exact]`` for i.i.d. uniform operand bits.
-
-    Dynamic program over bit positions.  State:
-
-    * ``carry`` -- the exact ripple carry into the current position;
-    * ``watch`` -- remaining propagate count of the *oldest* live
-      prediction watch (``None`` if no watch is live).  A watch starts
-      when a sub-adder boundary is crossed while ``carry == 1``; it
-      completes (=> output error) after ``P`` consecutive propagates and
-      dies at the first non-propagating position.  Only the oldest watch
-      matters: younger watches require strictly more propagates and all
-      watches die together.
-
-    Error probability is the mass absorbed by the error flag.
-    """
-    boundaries = {s * config.r for s in range(1, config.k)}
-    # state: (carry, watch_remaining or -1) -> probability, plus absorbed
-    # error mass.
-    states: Dict[Tuple[int, int], float] = {(0, -1): 1.0}
-    error_mass = 0.0
-    for position in range(config.n):
-        if position in boundaries:
-            moved: Dict[Tuple[int, int], float] = {}
-            for (carry, watch), prob in states.items():
-                if carry == 1 and watch == -1:
-                    watch = config.p  # new watch; oldest by construction
-                if watch == 0:
-                    error_mass += prob  # P == 0: immediate error
-                    continue
-                moved[(carry, watch)] = moved.get((carry, watch), 0.0) + prob
-            states = moved
-        nxt: Dict[Tuple[int, int], float] = {}
-        for (carry, watch), prob in states.items():
-            for p_case, new_carry, keeps_watch in (
-                (P_GENERATE, 1, False),
-                (P_PROPAGATE, carry, True),
-                (P_KILL, 0, False),
-            ):
-                mass = prob * p_case
-                if watch == -1 or not keeps_watch:
-                    new_watch = -1
-                else:
-                    new_watch = watch - 1
-                if new_watch == 0:
-                    error_mass += mass
-                    continue
-                key = (new_carry, new_watch)
-                nxt[key] = nxt.get(key, 0.0) + mass
-        states = nxt
-    return error_mass
-
-
 def monte_carlo_error_rate(
     config: GeArConfig, n_samples: int = 200_000, seed: int = 0
 ) -> float:
@@ -209,74 +153,14 @@ def monte_carlo_error_rate(
     Fully determined by ``(config, n_samples, seed)`` -- rerunning with
     the same arguments reproduces the estimate bit for bit.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     hi = 1 << config.n
     a = rng.integers(0, hi, size=n_samples, dtype=np.int64)
     b = rng.integers(0, hi, size=n_samples, dtype=np.int64)
     adder = GeArAdder(config)
     return float(np.mean(adder.add(a, b) != (a + b)))
-
-
-def monte_carlo_error_rate_sharded(
-    config: GeArConfig,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    chunk_samples: int = 50_000,
-    n_workers: int = 1,
-    cache_dir: str | None = None,
-) -> float:
-    """Sharded Monte Carlo error rate via the campaign engine.
-
-    The sample budget is split into fixed ``chunk_samples``-sized shards
-    (the split depends only on ``n_samples``/``chunk_samples``, never on
-    ``n_workers``), each shard's seed is derived from the shard identity,
-    and shards run through :func:`repro.campaign.run_campaign` -- so the
-    estimate is bit-identical for any worker count, cacheable, and an
-    interrupted sweep resumes from the shards already on disk.
-
-    Note: the sharded estimate differs numerically from the
-    single-stream :func:`monte_carlo_error_rate` (different RNG streams)
-    while remaining statistically equivalent and exactly reproducible.
-
-    Args:
-        config: GeAr architecture.
-        n_samples: Total Monte Carlo samples across all shards.
-        seed: Base seed; shard seeds derive from it deterministically.
-        chunk_samples: Samples per shard (fixes the shard layout).
-        n_workers: Campaign worker processes.
-        cache_dir: Optional campaign result cache.
-    """
-    from ..campaign import CampaignTask, derive_seed, run_campaign
-
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if chunk_samples < 1:
-        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-    tasks = []
-    remaining = n_samples
-    index = 0
-    while remaining > 0:
-        size = min(chunk_samples, remaining)
-        tasks.append(
-            CampaignTask(
-                kind="gear_mc_chunk",
-                params={
-                    "n": config.n,
-                    "r": config.r,
-                    "p": config.p,
-                    "n_samples": size,
-                },
-                seed=derive_seed(
-                    seed, "gear_mc_chunk", config.n, config.r, config.p,
-                    index, size,
-                ),
-            )
-        )
-        remaining -= size
-        index += 1
-    result = run_campaign(tasks, n_workers=n_workers, cache_dir=cache_dir)
-    errors = sum(r["error_rate"] * r["n_samples"] for r in result.results)
-    return errors / n_samples
 
 
 def exhaustive_error_rate(
@@ -294,7 +178,7 @@ def exhaustive_error_rate(
     if 2 * config.n > 30:
         raise ValueError(
             f"4**{config.n} pairs is too many to enumerate; "
-            "use monte_carlo_error_rate or exact_error_probability"
+            "use monte_carlo_error_rate or analytic_error_rate"
         )
     adder = GeArAdder(config)
     total_pairs = 1 << (2 * config.n)
@@ -314,11 +198,13 @@ def accuracy_percent(config: GeArConfig, model: str = "exact") -> float:
 
     Args:
         config: GeAr architecture.
-        model: ``"exact"`` (DP), ``"paper"`` (inclusion-exclusion) or
-            ``"monte_carlo"``.
+        model: ``"exact"`` (the analytic engine's walk), ``"paper"``
+            (inclusion-exclusion) or ``"monte_carlo"``.
     """
+    from ..errors.analytic import analytic_error_rate
+
     if model == "exact":
-        p_err = exact_error_probability(config)
+        p_err = analytic_error_rate(config)
     elif model == "paper":
         p_err = paper_error_probability(config)
     elif model == "monte_carlo":

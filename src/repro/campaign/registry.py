@@ -19,8 +19,9 @@ Built-in kinds cover the paper's characterization workloads:
 ========================  ====================================================
 kind                      workload
 ========================  ====================================================
-``gear_dse_row``          one Table IV / Fig. 4 design-space record
-``gear_mc_chunk``         one Monte Carlo shard of a GeAr error-rate estimate
+``gear_dse_row``          one Table IV / Fig. 4 design-space record (rate
+                          from the analytic walk, the paper's model or
+                          Monte Carlo)
 ``analytic``              one exact analytic error record (GeAr or HeteroGeAr)
 ``ripple_adder``          one ripple-adder characterization (Sec. 6 library)
 ``gear_adder``            one simulated GeAr characterization
@@ -88,17 +89,17 @@ def _gear_dse_row(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One design-space record for a GeAr configuration (Table IV row)."""
     from ..adders.gear import GeArAdder, GeArConfig
     from ..adders.gear_error import (
-        exact_error_probability,
         monte_carlo_error_rate,
         paper_error_probability,
     )
+    from ..errors.analytic import analytic_error_rate
 
     config = GeArConfig(
         n=int(params["n"]), r=int(params["r"]), p=int(params["p"])
     )
     model = params.get("model", "exact")
     if model == "exact":
-        p_err = exact_error_probability(config)
+        p_err = analytic_error_rate(config)
     elif model == "paper":
         p_err = paper_error_probability(config)
     elif model == "monte_carlo":
@@ -122,20 +123,6 @@ def _gear_dse_row(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     if params.get("include_delay", True):
         record["delay_ps"] = adder.delay_ps
     return record
-
-
-@register("gear_mc_chunk")
-def _gear_mc_chunk(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One Monte Carlo shard of a GeAr error-rate estimate."""
-    from ..adders.gear import GeArConfig
-    from ..adders.gear_error import monte_carlo_error_rate
-
-    config = GeArConfig(
-        n=int(params["n"]), r=int(params["r"]), p=int(params["p"])
-    )
-    n_samples = int(params["n_samples"])
-    rate = monte_carlo_error_rate(config, n_samples=n_samples, seed=seed)
-    return {"error_rate": rate, "n_samples": n_samples}
 
 
 @register("analytic")

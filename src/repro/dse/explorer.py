@@ -1,11 +1,13 @@
 """Design-space sweeps (paper Table IV, Fig. 4, Fig. 6).
 
 :func:`explore_gear_space` enumerates every valid ``(R, P)`` of an
-N-bit GeAr adder, evaluates the chosen accuracy model and the FPGA
-LUT area proxy, and returns records suitable for
-:mod:`repro.dse.pareto` and :mod:`repro.dse.selection` -- the Table IV /
-Fig. 4 data.  :func:`explore_multiplier_space` does the same for the
-recursive multiplier family of Fig. 6.
+N-bit GeAr adder, evaluates the chosen accuracy model (the exact rate
+of the block-adder error engine's walk, the paper's inclusion-exclusion
+model, or Monte Carlo) and the FPGA LUT area proxy, and returns records
+suitable for :mod:`repro.dse.pareto` and :mod:`repro.dse.selection` --
+the Table IV / Fig. 4 data.  :func:`explore_multiplier_space` does the
+same for the recursive multiplier family of Fig. 6.  Heterogeneous
+layouts are swept by :mod:`repro.dse.hetero`.
 
 Both sweeps submit through the campaign engine
 (:mod:`repro.campaign`): one task per configuration, with a
@@ -116,9 +118,10 @@ def explore_gear_space(
 
     Args:
         n: Operand width (the paper sweeps N = 11).
-        model: Accuracy model -- ``"exact"`` (DP over generate/propagate
-            strings), ``"paper"`` (inclusion-exclusion) or
-            ``"monte_carlo"``.
+        model: Accuracy model -- ``"exact"`` (the
+            :func:`~repro.errors.analytic.analytic_error_rate` walk over
+            generate/propagate strings), ``"paper"``
+            (inclusion-exclusion) or ``"monte_carlo"``.
         include_delay: Also record the critical-path delay proxy.
         n_samples: Monte Carlo sample count per configuration
             (``model="monte_carlo"`` only).

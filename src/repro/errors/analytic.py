@@ -1,13 +1,15 @@
-"""Exact analytic error PMFs for block-based approximate adders.
+"""The block-adder error engine: exact rates, means and error PMFs.
 
 The paper's Sec. 4.2 error model is exact but enumerates ``R x (k-1)``
 exponentially many carry terms; Monte Carlo and exhaustive sweeps do not
 scale either.  Wu et al. (arXiv 1703.03522) observe that a block adder's
 error distribution is computable *exactly* by composing per-block error
-events.  This module implements that idea as a single bit-level dynamic
-program over uniform random operands, valid for homogeneous GeAr (and
-its ACA-I/ACA-II/ETAII/GDA mappings) **and** the heterogeneous
-:class:`~repro.adders.HeteroGeArConfig` family.
+events.  This module implements that idea as bit-level dynamic programs
+over uniform random operands -- a full-PMF walk and a lighter rate/mean
+walk -- valid for homogeneous GeAr (and its ACA-I/ACA-II/ETAII/GDA
+mappings) **and** the heterogeneous
+:class:`~repro.adders.HeteroGeArConfig` family (Farahmand et al., arXiv
+2106.08800), of which homogeneous GeAr is a special case.
 
 How it works
 ------------
@@ -33,10 +35,28 @@ bit and can never wrap.  Each state carries the exact distribution of
 the accumulated error, so the result is the *full* error PMF -- not just
 a rate -- in ``O(N * max_p * support)`` time.
 
+Rates and means need no distribution.  One lighter walk over
+``(carry, run)`` alone answers them for every block adder, in
+``O(N * max_p)`` time:
+
+* a missed carry always errs (the lowest missing segment fixes the
+  total modulo ``2**t_{m+1}``), so the error rate is the mass absorbed
+  at the first miss (:func:`analytic_error_rate`);
+* the mean is ``-2**t_last * P[last segment misses]``: a miss at a
+  non-final segment ``i`` subtracts ``2**t_i``, or wraps and adds
+  ``2**t_{i+1} - 2**t_i`` when all ``r_i`` bits of the segment propagate
+  (probability ``2**-r_i``, independent of the miss), and
+  ``-2**t_i (1 - 2**-r_i) + (2**t_{i+1} - 2**t_i) 2**-r_i = 0``;
+* when every error is ``<= 0`` (``never_overestimates``) the mean error
+  distance is ``-mean``.
+
+The full PMF is built only where a caller needs more: the ``analytic``
+record's ``max_abs``/``support_size`` and the MED of configurations
+that can overestimate (:func:`analytic_summary`).
+
 All probabilities are dyadic rationals (multiples of ``4**-N``), exact
-in double precision up to ``N = 26``, so the analytic rates agree with
-:func:`repro.adders.exact_error_probability` and exhaustive enumeration
-to well below 1e-9.
+in double precision up to ``N = 26``, so the walk's rates equal the
+PMF's and exhaustive enumeration bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +70,8 @@ from .pmf import ErrorPMF
 
 __all__ = [
     "BlockErrorEvent",
+    "MAX_PMF_SEGMENTS",
+    "MAX_PREDICT_WIDTH",
     "analytic_error_pmf",
     "analytic_error_rate",
     "analytic_summary",
@@ -63,6 +85,19 @@ __all__ = [
 P_GENERATE = 0.25
 P_PROPAGATE = 0.5
 P_KILL = 0.25
+
+#: Segment count up to which :func:`predict_error_statistics` builds the
+#: full PMF for the MED of a configuration that can overestimate.  The
+#: prediction runs on the service's event loop, and the PMF's support
+#: doubles per segment.  The slowest layout is one-bit segments below a
+#: wide overestimating top segment: at width 26 its PMF takes ~16 ms
+#: with 8 segments, ~40 ms with 9 and ~330 ms with 12.
+MAX_PMF_SEGMENTS = 8
+
+#: Widths past this are refused by :func:`predict_error_statistics`
+#: before any walk runs: probabilities are multiples of ``4**-N``, exact
+#: in doubles only up to N = 26.
+MAX_PREDICT_WIDTH = 26
 
 
 def _segments(config) -> Tuple[Tuple[int, int], ...]:
@@ -176,14 +211,58 @@ def analytic_error_pmf(config) -> ErrorPMF:
     return ErrorPMF(merged)
 
 
+def _walk(
+    segments: Tuple[Tuple[int, int], ...]
+) -> Tuple[List[float], float]:
+    """The ``(carry, run)`` walk behind every block-adder rate and mean.
+
+    Walks positions ``0..N-1`` with the true carry and the propagate-run
+    length (capped at ``max(p_i)``).  Each state carries two masses: all
+    of it, and the part in which no lower segment has missed yet.  At
+    segment ``i``'s base the states with ``carry == 1`` and
+    ``run >= p_i`` miss: their whole mass is the marginal
+    ``P[segment i misses]``, and their not-yet-missed mass is absorbed
+    into ``P[some segment misses]``, the error rate.
+
+    Returns ``(marginals, error_rate)``, one marginal per segment.
+    """
+    max_run = max(p for _, p in segments)
+    # (carry, run) -> [mass, mass with no miss yet]
+    dist: Dict[Tuple[int, int], List[float]] = {(0, 0): [1.0, 1.0]}
+    marginals: List[float] = []
+    error_rate = 0.0
+    for r, p in segments:
+        fired = 0.0
+        for (carry, run), masses in dist.items():
+            if carry == 1 and run >= p:
+                fired += masses[0]
+                error_rate += masses[1]
+                masses[1] = 0.0
+        marginals.append(fired)
+        for _ in range(r):
+            step: Dict[Tuple[int, int], List[float]] = {}
+            for (carry, run), (mass, clean) in dist.items():
+                for key, weight in (
+                    ((1, 0), P_GENERATE),
+                    ((0, 0), P_KILL),
+                    ((carry, min(run + 1, max_run)), P_PROPAGATE),
+                ):
+                    into = step.setdefault(key, [0.0, 0.0])
+                    into[0] += mass * weight
+                    into[1] += clean * weight
+            dist = step
+    return marginals, error_rate
+
+
 def analytic_error_rate(config) -> float:
     """Exact ``P[approx != exact]`` for uniform random operands.
 
-    No distinct error paths can cancel to a zero total (the lowest
-    erring segment fixes the total modulo ``2**t_{m+1}``), so this is
-    simply ``1 - P[error = 0]`` of :func:`analytic_error_pmf`.
+    Every missed carry errs: no later miss can cancel it, because the
+    lowest missing segment fixes the total modulo ``2**t_{m+1}``.  So
+    the rate is the mass :func:`_walk` absorbs at the first miss, and no
+    error distribution is built.
     """
-    return analytic_error_pmf(config).error_rate
+    return _walk(_segments(config))[1]
 
 
 @dataclass(frozen=True)
@@ -212,43 +291,21 @@ class BlockErrorEvent:
 def block_error_events(config) -> List[BlockErrorEvent]:
     """Per-segment marginal carry-miss probabilities.
 
-    A lighter DP than :func:`analytic_error_pmf`: it tracks only
-    ``(carry, run)`` and reads off each segment's event probability at
-    its base boundary.  The marginals are exact but *not* independent --
-    convolving them does not give the joint PMF; use
-    :func:`analytic_error_pmf` for that.
+    Read off the same ``(carry, run)`` walk as
+    :func:`analytic_error_rate`, at each segment's base boundary.  The
+    marginals are exact but *not* independent -- convolving them does
+    not give the joint PMF; use :func:`analytic_error_pmf` for that.
     """
     segments = _segments(config)
-    starts = _starts(segments)
-    max_run = max(p for _, p in segments)
-
-    dist: Dict[Tuple[int, int], float] = {(0, 0): 1.0}
-    events: List[BlockErrorEvent] = []
-    for i, (r, p) in enumerate(segments):
-        fired = sum(
-            prob
-            for (carry, run), prob in dist.items()
-            if carry == 1 and run >= p
+    marginals, _ = _walk(segments)
+    return [
+        BlockErrorEvent(
+            index=i, start=t, r=r, p=p, probability=fired, magnitude=1 << t
         )
-        events.append(
-            BlockErrorEvent(
-                index=i,
-                start=starts[i],
-                r=r,
-                p=p,
-                probability=fired,
-                magnitude=1 << starts[i],
-            )
+        for i, ((r, p), t, fired) in enumerate(
+            zip(segments, _starts(segments), marginals)
         )
-        for _ in range(r):
-            step: Dict[Tuple[int, int], float] = {}
-            for (carry, run), prob in dist.items():
-                step[(1, 0)] = step.get((1, 0), 0.0) + prob * P_GENERATE
-                step[(0, 0)] = step.get((0, 0), 0.0) + prob * P_KILL
-                key = (carry, min(run + 1, max_run))
-                step[key] = step.get(key, 0.0) + prob * P_PROPAGATE
-            dist = step
-    return events
+    ]
 
 
 def analytic_summary(config) -> Dict[str, float]:
@@ -285,6 +342,7 @@ def config_from_params(params: Dict) -> "object":
     invalid (so callers can reject the request).
     """
     from ..adders.hetero import HeteroGeArConfig
+    from ..adders.ripple import MAX_WIDTH
 
     if "segments" in params:
         spec = params["segments"]
@@ -292,8 +350,13 @@ def config_from_params(params: Dict) -> "object":
             return HeteroGeArConfig.from_string(spec)
         return HeteroGeArConfig(tuple((int(r), int(p)) for r, p in spec))
     if all(field in params for field in ("n", "r", "p")):
+        n = int(params["n"])
+        # The embedding builds one segment per block, so a huge n from a
+        # request would cost time and memory before any check ran.
+        if n > MAX_WIDTH:
+            raise ValueError(f"width must be <= {MAX_WIDTH}, got n={n}")
         return HeteroGeArConfig.from_gear_params(
-            int(params["n"]), int(params["r"]), int(params["p"])
+            n, int(params["r"]), int(params["p"])
         )
     return None
 
@@ -304,21 +367,48 @@ def predict_error_statistics(params: Dict) -> Dict[str, float]:
     The service's admission controller calls this with a request's raw
     ``params`` to decide -- *before anything executes* -- whether the
     named approximate configuration meets a declared error budget.  The
-    statistics are the exact :func:`analytic_summary` of the PMF
-    engine, not an estimate, so an admission decision is a guarantee
-    (the property suite checks it against exhaustive enumeration).
+    statistics are exact, not estimates, so an admission decision is a
+    guarantee (the property suite checks it against exhaustive
+    enumeration).
 
-    Returns the summary dict plus ``n`` (operand width), ``k`` (segment
-    count), and ``exact`` (whether the config degenerates to a plain
-    adder).  Raises ``ValueError`` when the params do not describe a
-    block adder.
+    Returns ``error_rate``, ``accuracy_percent`` and ``mean`` from the
+    ``(carry, run)`` walk, ``med`` and ``nmed`` (see
+    :func:`analytic_summary`), plus ``n`` (operand width), ``k``
+    (segment count) and ``exact`` (whether the config degenerates to a
+    plain adder).  MED is ``-mean`` when the configuration never
+    overestimates; otherwise it comes from the full PMF, and is left out
+    (with ``nmed``) past :data:`MAX_PMF_SEGMENTS` segments.  Raises
+    ``ValueError`` when the params do not describe a block adder, or one
+    wider than :data:`MAX_PREDICT_WIDTH`.
     """
     config = config_from_params(params)
     if config is None:
         raise ValueError(
             f"params do not describe a block adder: {sorted(params)}"
         )
-    stats = analytic_summary(config)
+    if config.n > MAX_PREDICT_WIDTH:
+        raise ValueError(
+            f"prediction is exact only for widths <= {MAX_PREDICT_WIDTH}, "
+            f"got n={config.n}"
+        )
+    marginals, error_rate = _walk(config.segments)
+    # Only the final segment's miss survives in expectation (module
+    # docstring).  0.0 - x rather than -x: an exact configuration's mean
+    # is 0.0, as the PMF reports it, not -0.0.
+    mean = 0.0 - (1 << config.segment_starts()[-1]) * marginals[-1]
+    stats = {
+        "error_rate": error_rate,
+        "accuracy_percent": 100.0 * (1.0 - error_rate),
+        "mean": mean,
+    }
+    med = None
+    if config.never_overestimates:
+        med = abs(mean)  # every error is <= 0, so MED == -mean
+    elif config.k <= MAX_PMF_SEGMENTS:
+        med = analytic_error_pmf(config).mean_abs
+    if med is not None:
+        stats["med"] = med
+        stats["nmed"] = med / float((1 << (config.n + 1)) - 2)
     stats["n"] = float(config.n)
     stats["k"] = float(config.k)
     stats["exact"] = bool(config.is_exact)
@@ -329,7 +419,7 @@ def exhaustive_error_pmf(config) -> ErrorPMF:
     """Ground-truth error PMF by enumerating every operand pair.
 
     The behavioural counterpart of :func:`analytic_error_pmf`, used by
-    tests and the verify layer to cross-validate the DP.  Guarded to
+    tests and the verify layer to cross-validate the engine.  Guarded to
     ``2n <= 30`` (about a billion pairs beyond that).
     """
     segments = _segments(config)

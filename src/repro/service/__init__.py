@@ -16,10 +16,10 @@ many concurrent clients:
   shared content-addressed store keyed by stable task hashes: identical
   requests from different tenants are answered in microseconds.
 * :func:`negotiate` (:mod:`repro.service.admission`) -- QoS admission
-  control: a request declares an error budget, the exact analytic PMF
-  engine predicts in milliseconds whether the approximate configuration
-  meets it, and requests that cannot are rewritten to the exact
-  fallback before they ever run.
+  control: a request declares an error budget, the exact analytic error
+  engine predicts, with work bounded before it starts, whether the
+  approximate configuration meets it, and requests that cannot are
+  rewritten to the exact fallback before they ever run.
 * :class:`WorkerPool` (:mod:`repro.service.workers`) -- the bridge onto
   the campaign layer's :class:`~repro.campaign.warmpool.WarmPool`:
   single-flight deduplication per task hash and hardened execution

@@ -1,10 +1,10 @@
 """QoS admission control: predict quality analytically, then commit.
 
 A request may declare an error budget -- "best effort at <= 1% error,
-else exact".  For block-adder job families the exact PMF-convolution
-engine (:func:`repro.errors.analytic.predict_error_statistics`) answers
-in milliseconds whether the requested approximate configuration meets
-that budget, **without running anything**:
+else exact".  For block-adder job families the analytic error engine
+(:func:`repro.errors.analytic.predict_error_statistics`) decides whether
+the requested approximate configuration meets that budget, **without
+running anything**:
 
 * prediction meets the budget -> admit the approximate configuration
   as-is (``mode="approximate"``); the prediction is exact, so this is a
@@ -12,8 +12,20 @@ that budget, **without running anything**:
   for the exhaustive cross-check).
 * prediction violates the budget -> rewrite the job to the exact
   single-block fallback before it ever runs (``mode="exact_fallback"``).
-  The exact configuration has error 0, so a declared budget is always
-  satisfiable -- negotiation can degrade a request, never refuse it.
+  The exact configuration has error 0, so any budget it can be asked
+  about is satisfiable.
+
+The prediction runs on the service's event loop, so its cost is bounded
+before any of it runs.  Error rate and mean come from one
+``(carry, run)`` walk, well under a millisecond at every admitted width;
+MED and NMED too when the configuration never overestimates, and
+otherwise from the full error PMF, built only up to
+:data:`~repro.errors.analytic.MAX_PMF_SEGMENTS` segments.  So a QoS
+request is refused with a structured 400 on ``params`` when its params
+are not a valid block adder, when the width exceeds
+:data:`~repro.errors.analytic.MAX_PREDICT_WIDTH` (checked before any
+walk), or when it budgets ``med``/``nmed`` of an overestimating
+configuration past the segment bound.
 
 Job kinds the analytic engine cannot predict (media pipelines,
 multipliers, ...) fall through to runtime enforcement: ``resilience``
@@ -26,21 +38,22 @@ unchanged (``mode="as_declared"``) with the declaration echoed back.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-from ..errors.analytic import predict_error_statistics
+from ..errors.analytic import MAX_PMF_SEGMENTS, predict_error_statistics
 from .schemas import JobSpec, QosSpec, SchemaError
 
-__all__ = ["AdmissionDecision", "PREDICTABLE_KINDS", "negotiate"]
+__all__ = [
+    "AdmissionDecision",
+    "PREDICTABLE_KINDS",
+    "exact_twin_params",
+    "negotiate",
+]
 
 #: Kinds whose params name a block-adder configuration the analytic
 #: engine can predict exactly at admission time.
-PREDICTABLE_KINDS = ("analytic", "gear_dse_row", "gear_adder", "gear_mc_chunk")
-
-#: Widths past this are refused for analytic prediction (the DP stays
-#: millisecond-fast well beyond, but doubles lose exactness ~N=26).
-MAX_PREDICT_WIDTH = 26
+PREDICTABLE_KINDS = ("analytic", "gear_dse_row", "gear_adder")
 
 
 @dataclass(frozen=True)
@@ -88,22 +101,14 @@ class AdmissionDecision:
         )
 
 
-def _exact_fallback_spec(spec: JobSpec, width: int) -> JobSpec:
-    """Rewrite a block-adder job to its exact single-block twin."""
-    params = dict(spec.params)
+def exact_twin_params(params: Dict[str, Any], width: int) -> Dict[str, Any]:
+    """A block-adder job's params rewritten to its exact single-block twin."""
+    params = dict(params)
     if "segments" in params:
         params["segments"] = [[width, 0]]
     else:
         params["r"], params["p"] = width, 0
-    return JobSpec(
-        kind=spec.kind,
-        params=params,
-        seed=spec.seed,
-        qos=spec.qos,
-        timeout_s=spec.timeout_s,
-        max_attempts=spec.max_attempts,
-        deadline_ms=spec.deadline_ms,
-    )
+    return params
 
 
 def negotiate(spec: JobSpec) -> AdmissionDecision:
@@ -111,7 +116,10 @@ def negotiate(spec: JobSpec) -> AdmissionDecision:
 
     Raises:
         SchemaError: The QoS declaration names a predictable kind but
-            its params do not form a valid block-adder configuration.
+            its params do not form a valid block-adder configuration,
+            are wider than
+            :data:`~repro.errors.analytic.MAX_PREDICT_WIDTH`, or budget a
+            metric the bounded prediction leaves out.
     """
     if spec.qos is None:
         return AdmissionDecision(mode="as_declared", spec=spec,
@@ -141,14 +149,13 @@ def negotiate(spec: JobSpec) -> AdmissionDecision:
         predicted = predict_error_statistics(spec.params)
     except (ValueError, TypeError) as exc:
         raise SchemaError(
-            f"qos declared but params are not a valid block-adder "
-            f"configuration: {exc}",
-            "params",
+            f"qos declared but params cannot be predicted: {exc}", "params"
         )
-    if predicted["n"] > MAX_PREDICT_WIDTH:
+    if spec.qos.metric not in predicted:
         raise SchemaError(
-            f"analytic prediction supports widths <= {MAX_PREDICT_WIDTH}, "
-            f"got n={int(predicted['n'])}",
+            f"{spec.qos.metric} of a configuration that can overestimate "
+            f"is predicted only up to {MAX_PMF_SEGMENTS} segments, got "
+            f"k={int(predicted['k'])}; budget error_rate instead",
             "params",
         )
     prediction_us = (time.perf_counter() - start) * 1e6
@@ -169,7 +176,7 @@ def negotiate(spec: JobSpec) -> AdmissionDecision:
     width = int(predicted["n"])
     return AdmissionDecision(
         mode="exact_fallback",
-        spec=_exact_fallback_spec(spec, width),
+        spec=replace(spec, params=exact_twin_params(spec.params, width)),
         qos=spec.qos,
         predicted=predicted,
         prediction_us=prediction_us,

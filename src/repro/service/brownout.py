@@ -27,9 +27,10 @@ level     stage               admission effect
                               ``brownout_samples`` and retries clamp to
                               one attempt -- cheaper *and* more
                               approximate, the cross-layer knob
-2         ``exact_twin``      additionally, block-adder kinds are
-                              rewritten to their exact single-block
-                              twin -- for the PMF-convolution family a
+2         ``exact_twin``      additionally, valid approximate
+                              block-adder configurations are rewritten
+                              to the exact single-block twin admission
+                              uses -- for the PMF-convolution family a
                               single block is the *cheapest* possible
                               configuration (one trivial convolution)
 3         ``shed``            refuse admission with a structured 503
@@ -48,7 +49,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .admission import PREDICTABLE_KINDS, AdmissionDecision
+from ..errors.analytic import config_from_params
+from .admission import PREDICTABLE_KINDS, AdmissionDecision, exact_twin_params
 from .schemas import JobSpec
 
 __all__ = ["BrownoutController", "LEVELS", "ShedLoad", "SloConfig"]
@@ -120,24 +122,6 @@ class SloConfig:
             "shed_retry_after_s": self.shed_retry_after_s,
             "brownout_samples": self.brownout_samples,
         }
-
-
-def _block_adder_width(params: Dict[str, Any]) -> Optional[int]:
-    """Operand width of a block-adder params dict, if recognizable."""
-    n = params.get("n")
-    if isinstance(n, int) and n > 0:
-        return n
-    segments = params.get("segments")
-    try:
-        if isinstance(segments, str):
-            return sum(
-                int(part.split(":")[0]) for part in segments.split(",")
-            )
-        if isinstance(segments, (list, tuple)) and segments:
-            return sum(int(seg[0]) for seg in segments)
-    except (TypeError, ValueError, IndexError):
-        return None
-    return None
 
 
 class BrownoutController:
@@ -290,14 +274,12 @@ class BrownoutController:
             max_attempts = 1
             changed = True
         if self.level >= 2 and spec.kind in PREDICTABLE_KINDS:
-            width = _block_adder_width(params)
-            if width is not None and (
-                params.get("r") != width or "segments" in params
-            ):
-                if "segments" in params:
-                    params.pop("segments", None)
-                    params["n"] = width
-                params["r"], params["p"] = width, 0
+            try:
+                config = config_from_params(params)
+            except (ValueError, TypeError):
+                config = None  # invalid params fail at execution instead
+            if config is not None and not config.is_exact:
+                params = exact_twin_params(params, config.n)
                 changed = True
         if not changed:
             return spec

@@ -6,8 +6,10 @@ simulation (Table IV).  This module turns that validation into a
 conformance check with *declared tolerances*:
 
 * ``paper`` (:func:`~repro.adders.gear_error.paper_error_probability`)
-  vs ``exact`` (the dynamic program) -- both are analytically exact, so
-  they must agree to double-precision rounding (``1e-9``);
+  vs ``exact`` (the block-adder error engine's ``(carry, run)`` walk,
+  :func:`~repro.errors.analytic.analytic_error_rate`) -- both are
+  analytically exact, so they must agree to double-precision rounding
+  (``1e-9``);
 * ``exhaustive`` enumeration of all ``4**N`` operand pairs vs ``exact``
   -- ground truth vs model, tolerance ``1e-12``;
 * ``monte_carlo`` vs ``exact`` -- a binomial estimate, tolerated within
@@ -18,15 +20,18 @@ conformance check with *declared tolerances*:
   its support must be non-positive (GeAr only ever *misses* carries),
   and the PMF empirically observed by the Monte Carlo stream must sit
   within a total-variation ball of the exhaustive PMF;
-* the PMF-convolution engine (:mod:`repro.errors.analytic`) vs all of
-  the above -- its rate must match the DP to ``1e-9`` and its full PMF
-  must match exhaustive enumeration in total variation.
+* the full PMF of the convolution engine
+  (:func:`~repro.errors.analytic.analytic_error_pmf`) vs all of the
+  above -- a second, independent computation: its ``error_rate`` must
+  match the walk to ``1e-9`` and the whole PMF must match exhaustive
+  enumeration in total variation.
 
 :func:`hetero_statistics_checks` runs the same cross-validation for
-heterogeneous block adders, where the analytic engine *is* the primary
-model (there is no closed-form DP): analytic vs exhaustive enumeration,
-analytic vs Monte Carlo within ``z * sigma``, and the support-sign
-invariant for configurations that provably never overestimate.
+heterogeneous block adders, where the analytic PMF is the model under
+test (the paper's model covers homogeneous GeAr only): analytic vs
+exhaustive enumeration, analytic vs Monte Carlo within ``z * sigma``,
+and the support-sign invariant for configurations that provably never
+overestimate.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import numpy as np
 
 from ..adders.gear import GeArAdder, GeArConfig
 from ..adders.gear_error import (
-    exact_error_probability,
     exhaustive_error_rate,
     monte_carlo_error_rate,
     paper_error_probability,
@@ -63,13 +67,13 @@ __all__ = [
 GEAR_TOLERANCES = {
     # Two exact analyses of the same process: float rounding only.
     "paper_vs_exact": 1e-9,
-    # Enumeration vs dynamic program: both exact rationals in floats.
+    # Enumeration vs the walk: both exact rationals in floats.
     "exhaustive_vs_exact": 1e-12,
     # Monte Carlo z-score bound (plus a 2/n floor for tiny rates).
     "mc_sigma_z": 6.0,
     # Empirical (MC) PMF vs exhaustive PMF, total variation distance.
     "pmf_tv": 0.05,
-    # PMF-convolution engine vs the dynamic program: float rounding only.
+    # Full analytic PMF's rate vs the walk: float rounding only.
     "analytic_vs_exact": 1e-9,
     # Analytic PMF vs exhaustive PMF: both exact rationals in floats.
     "analytic_pmf_tv": 1e-9,
@@ -124,9 +128,10 @@ def gear_statistics_checks(
     """
     budget = resolve_budget(budget)
     checks: List[CheckResult] = []
-    exact = exact_error_probability(config)
+    exact = analytic_error_rate(config)
 
-    analytic = analytic_error_rate(config)
+    analytic_pmf = analytic_error_pmf(config)
+    analytic = analytic_pmf.error_rate
     tol = GEAR_TOLERANCES["analytic_vs_exact"]
     diff = abs(analytic - exact)
     checks.append(_check(
@@ -185,7 +190,6 @@ def gear_statistics_checks(
 
         # The convolution engine must reproduce the *whole* exhaustive
         # distribution, not just its rate.
-        analytic_pmf = analytic_error_pmf(config)
         tv = analytic_pmf.total_variation(pmf)
         tv_tol = GEAR_TOLERANCES["analytic_pmf_tv"]
         checks.append(_check(
@@ -221,8 +225,8 @@ def hetero_statistics_checks(
     """Cross-validate the analytic engine on one heterogeneous config.
 
     For :class:`~repro.adders.hetero.HeteroGeArConfig` there is no
-    closed-form DP, so the PMF-convolution engine is the model under
-    test: it must agree with exhaustive enumeration (rate and full-PMF
+    paper model to compare against, so the PMF-convolution engine is the
+    model under test: it must agree with exhaustive enumeration (rate and full-PMF
     total variation) when the pair space fits the budget, sit within
     ``z * sigma`` of a Monte Carlo estimate always, and -- for
     configurations whose prediction depths are monotone

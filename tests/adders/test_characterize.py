@@ -10,8 +10,8 @@ from repro.adders.characterize import (
     characterize_ripple_family,
 )
 from repro.adders.gear import GeArAdder, GeArConfig
-from repro.adders.gear_error import exact_error_probability
 from repro.adders.ripple import ApproximateRippleAdder
+from repro.errors.analytic import analytic_error_rate
 
 
 class TestCharacterizeAdder:
@@ -54,7 +54,7 @@ class TestCharacterizeGear:
         cfg = GeArConfig(10, 2, 2)
         record = characterize_gear(cfg)  # exhaustive at width 10
         assert record.metrics.error_rate == pytest.approx(
-            exact_error_probability(cfg), abs=1e-12
+            analytic_error_rate(cfg), abs=1e-12
         )
 
     def test_gear_lut_count_propagates(self):

@@ -5,10 +5,10 @@ import pytest
 
 from repro.adders.gear import GeArAdder, GeArConfig
 from repro.adders.gear_error import (
-    exact_error_probability,
     exhaustive_error_rate,
     paper_error_probability,
 )
+from repro.errors.analytic import analytic_error_rate
 
 
 class TestZeroPrediction:
@@ -29,7 +29,7 @@ class TestZeroPrediction:
         # P(error) = P(carry out of low 4-bit block) for uniform inputs.
         cfg = GeArConfig(8, 4, 0)
         expected = exhaustive_error_rate(cfg)
-        assert exact_error_probability(cfg) == pytest.approx(expected)
+        assert analytic_error_rate(cfg) == pytest.approx(expected)
         # Carry-out of a 4-bit add of uniform operands:
         # P(a+b >= 16) over 16x16 pairs = 120/256.
         assert expected == pytest.approx(120 / 256)
@@ -37,7 +37,7 @@ class TestZeroPrediction:
     def test_paper_model_handles_p0(self):
         cfg = GeArConfig(8, 4, 0)
         assert paper_error_probability(cfg) == pytest.approx(
-            exact_error_probability(cfg)
+            analytic_error_rate(cfg)
         )
 
     def test_correction_exact_for_p0(self, rng):
@@ -98,14 +98,14 @@ class TestErrorModelEdges:
     def test_probability_of_trivial_config(self):
         # k = 2, P = N - R - ... smallest error surface.
         cfg = GeArConfig(4, 1, 2)
-        assert exact_error_probability(cfg) == pytest.approx(
+        assert analytic_error_rate(cfg) == pytest.approx(
             exhaustive_error_rate(cfg)
         )
 
     def test_wide_p0_etaii_like(self):
         cfg = GeArConfig(16, 4, 0)
-        dp = exact_error_probability(cfg)
+        dp = analytic_error_rate(cfg)
         mc = exhaustive_error_rate(GeArConfig(12, 4, 0))
         assert 0 < dp < 1
         # More blocks -> strictly more error than the 12-bit version.
-        assert dp > exact_error_probability(GeArConfig(12, 4, 0)) - 1e-12
+        assert dp > analytic_error_rate(GeArConfig(12, 4, 0)) - 1e-12

@@ -7,11 +7,11 @@ from repro.adders.gear import GeArConfig
 from repro.adders.gear_error import (
     accuracy_percent,
     error_events,
-    exact_error_probability,
     exhaustive_error_rate,
     monte_carlo_error_rate,
     paper_error_probability,
 )
+from repro.errors.analytic import analytic_error_rate
 
 
 class TestErrorEvents:
@@ -41,14 +41,14 @@ class TestModelAgreement:
     )
     def test_exact_dp_matches_exhaustive(self, cfg):
         config = GeArConfig(*cfg)
-        dp = exact_error_probability(config)
+        dp = analytic_error_rate(config)
         exhaustive = exhaustive_error_rate(config)
         assert dp == pytest.approx(exhaustive, abs=1e-12)
 
     @pytest.mark.parametrize("cfg", [(12, 4, 4), (16, 4, 4), (16, 2, 2)])
     def test_exact_dp_matches_monte_carlo(self, cfg):
         config = GeArConfig(*cfg)
-        dp = exact_error_probability(config)
+        dp = analytic_error_rate(config)
         mc = monte_carlo_error_rate(config, n_samples=400_000, seed=0)
         assert mc == pytest.approx(dp, abs=0.004)
 
@@ -61,13 +61,13 @@ class TestModelAgreement:
         """
         config = GeArConfig(*cfg)
         paper = paper_error_probability(config)
-        exact = exact_error_probability(config)
+        exact = analytic_error_rate(config)
         assert paper <= exact + 1e-12
         assert paper == pytest.approx(exact, abs=0.01)
 
     def test_single_subadder_has_zero_error(self):
         config = GeArConfig(8, 4, 4)
-        assert exact_error_probability(config) == 0.0
+        assert analytic_error_rate(config) == 0.0
         assert paper_error_probability(config) == 0.0
 
 
@@ -75,14 +75,14 @@ class TestProbabilityBehaviour:
     def test_probability_decreases_with_p(self):
         # Same R, increasing P: more prediction bits -> fewer errors.
         p_errs = [
-            exact_error_probability(GeArConfig(11, 1, p))
+            analytic_error_rate(GeArConfig(11, 1, p))
             for p in range(1, 10)
         ]
         assert all(a > b for a, b in zip(p_errs, p_errs[1:]))
 
     def test_probability_in_unit_interval(self):
         for config in GeArConfig.all_valid(11):
-            p = exact_error_probability(config)
+            p = analytic_error_rate(config)
             assert 0.0 <= p <= 1.0
 
     def test_paper_model_in_unit_interval(self):
@@ -99,7 +99,7 @@ class TestProbabilityBehaviour:
         config = GeArConfig(32, 1, 1)
         first_order = paper_error_probability(config, max_order=1)
         second_order = paper_error_probability(config, max_order=2)
-        exact = exact_error_probability(config)
+        exact = analytic_error_rate(config)
         # First order over-counts (union bound); second subtracts.
         assert first_order >= exact - 1e-12
         assert second_order <= first_order
@@ -127,3 +127,10 @@ class TestAccuracyPercent:
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError, match="too many"):
             exhaustive_error_rate(GeArConfig(16, 2, 2))
+
+
+class TestMonteCarlo:
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_non_positive_sample_counts(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_error_rate(GeArConfig(8, 2, 2), n_samples=n_samples)

@@ -57,9 +57,10 @@ class TestSerialRunner:
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
     def test_builtin_kinds_registered(self):
-        expected = {"gear_dse_row", "gear_mc_chunk", "ripple_adder",
+        expected = {"gear_dse_row", "analytic", "ripple_adder",
                     "gear_adder", "multiplier", "sad_quality", "filter_ssim"}
         assert expected <= set(task_kinds())
+        assert "gear_mc_chunk" not in task_kinds()
 
 
 class TestCaching:
@@ -103,8 +104,9 @@ class TestCaching:
 class TestParallelRunner:
     def test_worker_count_invariance(self, tmp_path):
         tasks = [
-            CampaignTask("gear_mc_chunk",
-                         {"n": 8, "r": 2, "p": 2, "n_samples": 2000},
+            CampaignTask("gear_dse_row",
+                         {"n": 8, "r": 2, "p": 2, "model": "monte_carlo",
+                          "n_samples": 2000},
                          seed=s)
             for s in range(8)
         ]

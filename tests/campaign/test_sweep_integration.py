@@ -4,10 +4,6 @@ import pytest
 
 from repro.accelerators.sad import characterize_sad_family
 from repro.adders.characterize import characterize_ripple_family
-from repro.adders.gear import GeArConfig
-from repro.adders.gear_error import (
-    monte_carlo_error_rate_sharded,
-)
 from repro.campaign import CampaignTask
 from repro.campaign.registry import execute_task
 from repro.dse.explorer import explore_gear_space_campaign
@@ -31,6 +27,13 @@ class TestTableIVCampaign:
         serial = explore_gear_space_campaign(11, **kwargs)
         parallel = explore_gear_space_campaign(11, n_workers=4, **kwargs)
         assert serial.results == parallel.results
+
+    def test_monte_carlo_row_rejects_zero_samples(self):
+        task = CampaignTask("gear_dse_row", {"n": 11, "r": 3, "p": 2,
+                                             "model": "monte_carlo",
+                                             "n_samples": 0})
+        with pytest.raises(ValueError, match="n_samples"):
+            execute_task(task)
 
     def test_stats_report_shape(self, tmp_path):
         result = explore_gear_space_campaign(
@@ -85,44 +88,3 @@ class TestFamilySweepsThroughEngine:
         with pytest.raises(KeyError, match="unknown standard image 'lena'"):
             execute_task(task)
 
-
-class TestShardedMonteCarlo:
-    def test_worker_and_chunking_invariance(self):
-        config = GeArConfig(8, 2, 2)
-        kwargs = dict(n_samples=30_000, seed=9, chunk_samples=8_192)
-        serial = monte_carlo_error_rate_sharded(config, **kwargs)
-        parallel = monte_carlo_error_rate_sharded(config, n_workers=3,
-                                                  **kwargs)
-        assert serial == parallel
-
-    def test_close_to_exact_probability(self):
-        from repro.adders.gear_error import exact_error_probability
-
-        config = GeArConfig(8, 2, 2)
-        estimate = monte_carlo_error_rate_sharded(config, n_samples=120_000,
-                                                  seed=0)
-        assert estimate == pytest.approx(exact_error_probability(config),
-                                         abs=0.01)
-
-    def test_resume_from_partial_shards(self, tmp_path):
-        from repro.campaign import ResultCache
-
-        cache_dir = str(tmp_path / "cache")
-        config = GeArConfig(8, 2, 2)
-        kwargs = dict(n_samples=40_000, seed=2, chunk_samples=10_000)
-        full = monte_carlo_error_rate_sharded(config, cache_dir=cache_dir,
-                                              **kwargs)
-        cache = ResultCache(cache_dir)
-        assert len(cache) == 4
-        dropped = next(iter(cache.keys()))
-        cache.evict(dropped)
-        resumed = monte_carlo_error_rate_sharded(config, cache_dir=cache_dir,
-                                                 **kwargs)
-        assert resumed == full
-
-    def test_rejects_bad_sample_counts(self):
-        config = GeArConfig(8, 2, 2)
-        with pytest.raises(ValueError, match="n_samples"):
-            monte_carlo_error_rate_sharded(config, n_samples=0)
-        with pytest.raises(ValueError, match="chunk_samples"):
-            monte_carlo_error_rate_sharded(config, chunk_samples=0)

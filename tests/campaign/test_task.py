@@ -33,7 +33,7 @@ class TestTaskKey:
         [
             CampaignTask("gear_dse_row", {"n": 9}, seed=3),
             CampaignTask("gear_dse_row", {"n": 8}, seed=4),
-            CampaignTask("gear_mc_chunk", {"n": 8}, seed=3),
+            CampaignTask("gear_adder", {"n": 8}, seed=3),
         ],
     )
     def test_key_sensitivity(self, other):

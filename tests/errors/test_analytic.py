@@ -9,7 +9,6 @@ from repro.adders import (
     aca_i,
     aca_ii,
     etaii,
-    exact_error_probability,
     exhaustive_error_rate,
     gda,
 )
@@ -21,6 +20,7 @@ from repro.errors import (
     block_error_events,
     exhaustive_error_pmf,
 )
+from repro.errors.analytic import predict_error_statistics
 
 # Table III/IV operating points (plus the verify-registry configs).
 TABLE_CONFIGS = [
@@ -37,18 +37,49 @@ TABLE_CONFIGS = [
 
 
 class TestAgainstExactDP:
+    """The ``(carry, run)`` walk's rate against the full PMF's."""
+
     @pytest.mark.parametrize("n,r,p", TABLE_CONFIGS)
     def test_rate_matches_dp_on_table_configs(self, n, r, p):
         cfg = GeArConfig(n, r, p)
-        assert analytic_error_rate(cfg) == pytest.approx(
-            exact_error_probability(cfg), abs=1e-9
-        )
+        assert analytic_error_rate(cfg) == analytic_error_pmf(cfg).error_rate
 
     def test_rate_matches_dp_on_all_valid_11(self):
         for cfg in GeArConfig.all_valid(11, min_p=0):
-            assert analytic_error_rate(cfg) == pytest.approx(
-                exact_error_probability(cfg), abs=1e-9
+            assert (
+                analytic_error_rate(cfg) == analytic_error_pmf(cfg).error_rate
             ), cfg.name
+
+
+def _pinned_configs():
+    """Every layout the walk is pinned on, with its request params."""
+    for cfg in (
+        list(HeteroGeArConfig.all_valid(6, max_segments=4))
+        + list(HeteroGeArConfig.all_valid(8, max_segments=3))
+    ):
+        yield cfg, {"segments": [list(seg) for seg in cfg.segments]}
+    for n in range(2, 13):
+        for cfg in GeArConfig.all_valid(n, min_p=0):
+            yield cfg, {"n": cfg.n, "r": cfg.r, "p": cfg.p}
+
+
+class TestOneWalk:
+    """The walk answers rates and means bit for bit like the full PMF."""
+
+    def test_rate_mean_and_med_equal_the_pmf(self):
+        seen = 0
+        for cfg, params in _pinned_configs():
+            pmf = analytic_error_pmf(cfg)
+            predicted = predict_error_statistics(params)
+            assert analytic_error_rate(cfg) == pmf.error_rate, cfg.name
+            assert predicted["error_rate"] == pmf.error_rate, cfg.name
+            # .hex() also tells 0.0 from -0.0 (exact layouts).
+            assert predicted["mean"].hex() == pmf.mean.hex(), cfg.name
+            assert predicted["med"].hex() == pmf.mean_abs.hex(), cfg.name
+            seen += 1
+        assert seen == 755 + 546 + sum(
+            len(GeArConfig.all_valid(n, min_p=0)) for n in range(2, 13)
+        )
 
 
 class TestAgainstExhaustive:

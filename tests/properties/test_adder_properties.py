@@ -170,16 +170,14 @@ class TestGeArProperties:
     @settings(max_examples=30, deadline=None)
     @given(config=gear_configs(max_n=14))
     def test_error_probability_models_ordered(self, config):
-        """Paper's IE model never exceeds the exact DP probability."""
-        from repro.adders.gear_error import (
-            exact_error_probability,
-            paper_error_probability,
-        )
+        """Paper's IE model never exceeds the exact probability."""
+        from repro.adders.gear_error import paper_error_probability
+        from repro.errors.analytic import analytic_error_rate
 
         if config.r * (config.k - 1) > 18:
             return  # IE intractable; skip silently
         paper = paper_error_probability(config)
-        exact = exact_error_probability(config)
+        exact = analytic_error_rate(config)
         assert paper <= exact + 1e-9
 
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from repro.adders.gear import GeArAdder
 from repro.adders.gear_error import (
     accuracy_percent,
-    exact_error_probability,
     paper_error_probability,
 )
+from repro.errors.analytic import analytic_error_rate
 
 from .test_adder_properties import gear_configs
 
@@ -23,7 +23,7 @@ class TestProbabilityRanges:
     @settings(max_examples=50, deadline=None)
     @given(config=gear_configs(max_n=20))
     def test_exact_probability_in_unit_interval(self, config):
-        p = exact_error_probability(config)
+        p = analytic_error_rate(config)
         assert 0.0 <= p <= 1.0
 
     @settings(max_examples=50, deadline=None)
@@ -88,13 +88,13 @@ class TestErrorStructure:
     def test_more_prediction_bits_never_hurt(self, config):
         """Growing P (same N, R) only extends the speculative windows,
         so the exact error probability is non-increasing in P."""
-        p_here = exact_error_probability(config)
+        p_here = analytic_error_rate(config)
         wider = config.p + config.r  # keeps (N - R - P) % R == 0
         if config.r + wider > config.n:
             return
         from repro.adders.gear import GeArConfig
 
-        p_wider = exact_error_probability(
+        p_wider = analytic_error_rate(
             GeArConfig(config.n, config.r, wider)
         )
         assert p_wider <= p_here + 1e-12

@@ -144,8 +144,9 @@ class TestApply:
         ctrl, _ = _controller(brownout_samples=1000)
         ctrl.level = 1
         decision = _decision(
-            kind="gear_mc_chunk",
-            params={"n": 8, "r": 2, "p": 2, "n_samples": 100_000},
+            kind="gear_dse_row",
+            params={"n": 8, "r": 2, "p": 2, "model": "monte_carlo",
+                    "n_samples": 100_000},
             max_attempts=3,
         )
         applied, stage = ctrl.apply(decision)
@@ -166,10 +167,46 @@ class TestApply:
         assert applied.spec.params == {"n": 8, "r": 8, "p": 0}
 
         applied, stage = ctrl.apply(_decision(
-            params={"segments": [[4, 2], [4, 2]]},
+            params={"segments": [[4, 0], [4, 2]]},
         ))
         assert stage == "exact_twin"
-        assert applied.spec.params == {"n": 8, "r": 8, "p": 0}
+        assert applied.spec.params == {"segments": [[8, 0]]}
+        assert ctrl.n_degraded == 2
+
+    @pytest.mark.parametrize("params", [
+        {"segments": [[8, 0]]},
+        {"segments": "8:0"},
+    ])
+    def test_level2_already_exact_segment_jobs_are_a_noop(self, params):
+        ctrl, _ = _controller()
+        ctrl.level = 2
+        decision = _decision(params=params)
+        applied, stage = ctrl.apply(decision)
+        assert applied is decision and stage is None
+        assert ctrl.n_degraded == 0
+
+    def test_level2_leaves_admission_exact_fallback_alone(self):
+        """A job admission already rewrote to its exact twin is not
+        degraded (or re-keyed) a second time."""
+        ctrl, _ = _controller()
+        ctrl.level = 2
+        decision = _decision(
+            params={"segments": [[4, 0], [4, 2]]},
+            qos=QosSpec(error_budget=0.0),
+        )
+        assert decision.mode == "exact_fallback"
+        applied, stage = ctrl.apply(decision)
+        assert applied is decision and stage is None
+        assert ctrl.n_degraded == 0
+
+    def test_level2_leaves_invalid_layouts_alone(self):
+        """``p_0 = 2`` is no valid layout; the job fails at execution
+        rather than being turned into a valid exact one."""
+        ctrl, _ = _controller()
+        ctrl.level = 2
+        decision = _decision(params={"segments": [[4, 2], [4, 2]]})
+        applied, stage = ctrl.apply(decision)
+        assert applied is decision and stage is None
 
     def test_level2_leaves_unpredictable_kinds_alone(self):
         ctrl, _ = _controller()

@@ -1,19 +1,22 @@
-"""Loopback smoke test: the one test that uses a real TCP socket.
+"""Loopback smoke tests: the tests that use a real TCP socket.
 
 Everything else in this suite drives the HTTP layer through in-process
-transport stubs; this test closes the loop by binding ``serve()`` on an
+transport stubs; these tests close the loop by binding ``serve()`` on an
 ephemeral loopback port and speaking actual bytes through
 ``asyncio.open_connection`` -- submit, poll, and stream a job exactly
 as a curl client would.  The whole request/poll conversation happens
 over **one persistent connection** (HTTP/1.1 keep-alive), reading each
 response by its ``Content-Length`` frame; only the SSE stream takes a
 second connection, which the server terminates after the final event.
+A second test checks that a QoS admission never stalls the loop that
+answers ``/healthz``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 from repro.service.http import serve, sockname
 from repro.service.sse import parse_stream
@@ -101,5 +104,56 @@ def test_loopback_socket_serves_jobs():
                 await sse_writer.wait_closed()
             server.close()
             await server.wait_closed()
+
+    asyncio.run(body())
+
+
+def test_healthz_stays_responsive_during_a_wide_qos_admission():
+    """A QoS POST for GeAr(24, 1, 0) is admitted on the event loop; the
+    loop must still answer a liveness probe sent right behind it."""
+    bound_s = 2.0
+
+    async def body():
+        async with running_app(n_workers=1) as (app, _):
+            server = await serve(app, host="127.0.0.1", port=0)
+            host, port = sockname(server)
+            post_r, post_w = await asyncio.open_connection(host, port)
+            probe_r, probe_w = await asyncio.open_connection(host, port)
+            try:
+                # Budget 0 sends the job to its exact single-block twin,
+                # which runs in milliseconds.
+                payload = json.dumps({
+                    "kind": "analytic",
+                    "params": {"n": 24, "r": 1, "p": 0},
+                    "qos": {"error_budget": 0.0},
+                }).encode()
+                start = time.perf_counter()
+                post_w.write(encode_request(
+                    "POST", "/v1/jobs", payload, {"X-Tenant": "wide"}
+                ))
+                await post_w.drain()
+                probe_w.write(encode_request("GET", "/healthz"))
+                await probe_w.drain()
+                status, _, health = parse_response(
+                    await _read_framed(probe_r, bound_s)
+                )
+                probe_s = time.perf_counter() - start
+                assert status == 200 and health == {"ok": True}
+                status, _, accepted = parse_response(
+                    await _read_framed(post_r, bound_s)
+                )
+                post_s = time.perf_counter() - start
+                assert status == 202
+                assert accepted["admission"]["mode"] == "exact_fallback"
+                assert probe_s < bound_s and post_s < bound_s
+                await asyncio.wait_for(
+                    app.jobs[accepted["job_id"]].done.wait(), 30.0
+                )
+            finally:
+                for writer in (post_w, probe_w):
+                    writer.close()
+                    await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
 
     asyncio.run(body())
