@@ -25,9 +25,12 @@ even starts; :class:`WarmPool` keeps the containment without that cost:
   in-process path of :func:`~repro.campaign.runner.run_campaign`.
 * **Two front-ends** -- the single-threaded campaign scheduler
   (:meth:`WarmPool.run_tasks`, used by
-  :func:`~repro.campaign.runner.run_campaign`) and a thread-safe lease
-  API (:meth:`WarmPool.execute`) for concurrent submitters such as the
-  service's worker bridge (:mod:`repro.service.workers`).
+  :func:`~repro.campaign.runner.run_campaign`) and an asyncio lease
+  (:meth:`WarmPool.execute`, a coroutine) for concurrent submitters on
+  one event loop such as the service's worker bridge
+  (:mod:`repro.service.workers`).  The lease waits for replies on the
+  loop; only recycles run on a thread.  ``asyncio`` is imported inside
+  the coroutines, so campaign processes never load it.
 
 Worker state *persists across tasks* -- that is the whole point.  A
 pool built with ``max_tasks_per_worker=1`` recycles each worker after
@@ -179,6 +182,12 @@ def _crash_failure(attempt: int, exitcode: Optional[int], elapsed_s: float):
     )
 
 
+def _wake(future) -> None:
+    """Reader callback: resolve ``future`` once its pipe is readable."""
+    if not future.done():
+        future.set_result(None)
+
+
 def _classify_message(
     message: tuple,
     attempt: int,
@@ -243,6 +252,8 @@ class WarmPool:
         self.max_tasks_per_worker = max_tasks_per_worker
         self.context = context or multiprocessing.get_context()
         self._idle: "thread_queue.Queue[_WorkerHandle]" = thread_queue.Queue()
+        #: Futures of leases waiting on the loop for a worker (FIFO).
+        self._waiters: deque = deque()
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
@@ -267,12 +278,17 @@ class WarmPool:
     def close(self) -> None:
         """Kill every idle worker and refuse further work (idempotent).
 
-        Leased workers are killed by their leaseholder on release.
+        Leased workers are killed by their leaseholder on release;
+        leases waiting for a worker fail with ``RuntimeError``.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(RuntimeError("warm pool closed"))
         while True:
             try:
                 worker = self._idle.get_nowait()
@@ -343,9 +359,9 @@ class WarmPool:
             "closed": self._closed,
         }
 
-    # -- thread-safe single-task front-end (service bridge) ------------
+    # -- asyncio single-task front-end (service bridge) ----------------
 
-    def execute(
+    async def execute(
         self,
         task: CampaignTask,
         timeout_s: Optional[float] = None,
@@ -356,12 +372,23 @@ class WarmPool:
     ):
         """Run one task with full hardened semantics on a leased worker.
 
+        A coroutine driven by the caller's event loop: the task goes down
+        an idle worker's pipe and the loop wakes (``loop.add_reader``)
+        when the reply is readable, so a healthy attempt makes no thread
+        hop.  Only a recycle -- a kill that may join for up to
+        ``_KILL_GRACE_S`` plus a fork -- runs on a thread
+        (``asyncio.to_thread``), after a timeout, a dead pipe, a
+        cancellation, or a ``max_tasks_per_worker`` bound.
+
         Retries, deterministic backoff, timeout verdicts, and the
         quarantine record are bit-compatible with a single-task
         :func:`~repro.campaign.runner.run_campaign`: the same result or
         the same :class:`~repro.campaign.runner.TaskFailure` comes
-        back.  Thread-safe -- concurrent callers lease distinct
-        workers.
+        back.  Concurrent callers on one loop lease distinct workers; a
+        caller that finds none idle waits on the loop until another
+        lease hands one back or the pool closes.  (Workers returned by
+        :meth:`run_tasks` go to the idle set without waking a waiting
+        lease, so drive a pool with one front-end at a time.)
 
         ``deadline_s`` is an *absolute budget across all attempts*
         (the service's end-to-end deadline, already net of queue wait):
@@ -370,10 +397,16 @@ class WarmPool:
         remaining retries are abandoned with a ``timeout`` attempt
         record instead of being burned on an answer nobody will read.
 
+        Cancelled with its task in flight, the lease kills that worker
+        and releases a replacement (unless the pool is closed), so the
+        pool keeps its size and no later lease reads the stale reply.
+
         Returns:
             ``(result, None)`` on success, ``(None, TaskFailure)``
             after the last failed attempt.
         """
+        import asyncio  # here, not at module level: campaigns never need it
+
         max_attempts = max(1, max_attempts)
         deadline_at = (
             time.monotonic() + deadline_s if deadline_s is not None else None
@@ -400,7 +433,7 @@ class WarmPool:
                     else min(attempt_timeout, remaining)
                 )
             try:
-                worker = self._lease()
+                worker = await self._lease_async()
             except RuntimeError:
                 failures.append(TaskAttemptFailure(
                     attempt=attempt,
@@ -410,10 +443,9 @@ class WarmPool:
                     elapsed_s=0.0,
                 ))
                 break
-            outcome, worker = self._attempt(
+            outcome = await self._attempt(
                 worker, task, attempt_timeout, attempt
             )
-            self._release(worker)
             if outcome[0] == "ok":
                 self.n_tasks_done += 1
                 return outcome[1][0], None
@@ -424,7 +456,7 @@ class WarmPool:
                 )
                 if deadline_at is not None:
                     delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                time.sleep(delay)
+                await asyncio.sleep(delay)
         return None, TaskFailure(
             index=0,
             key=task.key,
@@ -434,51 +466,125 @@ class WarmPool:
             attempts=failures,
         )
 
-    def _attempt(
+    async def _attempt(
         self,
         worker: _WorkerHandle,
         task: CampaignTask,
         timeout_s: Optional[float],
         attempt: int,
-    ) -> Tuple[Tuple[str, Any], Optional[_WorkerHandle]]:
-        """One attempt on a leased worker.
+    ) -> Tuple[str, Any]:
+        """One attempt on a leased worker, which it always hands back.
 
-        Returns ``(outcome, worker)`` where ``outcome`` is as produced
-        by :func:`_classify_message` and ``worker`` is the (possibly
-        freshly respawned) handle to release.
+        Returns the outcome as produced by :func:`_classify_message`.
+        The reader fires on the reply's first bytes and ``conn.recv()``
+        then reads the rest synchronously; the worker is writing it at
+        that moment, so even a large reply blocks the loop only for the
+        copy.
         """
+        import asyncio
+
         started = time.monotonic()
-        deadline = started + timeout_s if timeout_s is not None else None
         try:
             worker.dispatch([task])
         except (BrokenPipeError, OSError):
-            exitcode, worker = self._recycle(worker)
-            return ("fail", _crash_failure(
+            exitcode = await self._replace(worker)
+            return "fail", _crash_failure(
                 attempt, exitcode, time.monotonic() - started
-            )), worker
-        while True:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                _, worker = self._recycle(worker)
-                return ("fail", _timeout_failure(
-                    attempt, timeout_s, now - started
-                )), worker
-            wait = 0.05 if deadline is None else min(
-                0.05, max(0.001, deadline - now)
             )
+        loop = asyncio.get_running_loop()
+        readable = loop.create_future()
+        fd = worker.conn.fileno()
+        loop.add_reader(fd, _wake, readable)
+        try:
             try:
-                if not worker.conn.poll(wait):
-                    continue
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                # The worker died under the task (e.g. killed itself).
-                exitcode, worker = self._recycle(worker)
-                return ("fail", _crash_failure(
-                    attempt, exitcode, time.monotonic() - started
-                )), worker
-            return _classify_message(
-                message, attempt, timeout_s, time.monotonic() - started
-            ), worker
+                await asyncio.wait_for(readable, timeout_s)
+            finally:
+                # Before any recycle closes the fd under the selector.
+                loop.remove_reader(fd)
+            message = worker.conn.recv()
+        except asyncio.TimeoutError:
+            elapsed = time.monotonic() - started
+            await self._replace(worker)
+            return "fail", _timeout_failure(attempt, timeout_s, elapsed)
+        except (EOFError, OSError):
+            # The worker died under the task (e.g. killed itself).
+            exitcode = await self._replace(worker)
+            return "fail", _crash_failure(
+                attempt, exitcode, time.monotonic() - started
+            )
+        except BaseException:
+            # Cancelled with the task in flight: its reply must never
+            # reach a later lease, and the pool must not shrink.
+            await self._replace(worker)
+            raise
+        outcome = _classify_message(
+            message, attempt, timeout_s, time.monotonic() - started
+        )
+        if self._closed:
+            await asyncio.to_thread(worker.kill)
+        elif (
+            self.max_tasks_per_worker is not None
+            and worker.n_dispatched >= self.max_tasks_per_worker
+        ):
+            await self._replace(worker)
+        else:
+            self._give(worker)
+        return outcome
+
+    async def _lease_async(self) -> _WorkerHandle:
+        """Check one worker out on the loop, waiting there if none is idle."""
+        import asyncio
+
+        if not self._started:
+            self.start()
+        if self._closed:
+            raise RuntimeError("warm pool closed")
+        try:
+            return self._idle.get_nowait()
+        except thread_queue.Empty:
+            pass
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            return await waiter
+        except asyncio.CancelledError:
+            if waiter.done() and not waiter.cancelled():
+                # Handed a worker just as this lease was cancelled.
+                self._give(waiter.result())
+            raise
+
+    def _give(self, worker: Optional[_WorkerHandle]) -> None:
+        """Hand a clean worker to the oldest waiting lease, else idle it."""
+        if worker is None:
+            return
+        if self._closed:  # closed while its recycle ran
+            worker.kill()
+            return
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(worker)
+                return
+        self._idle.put(worker)
+
+    async def _replace(self, worker: _WorkerHandle) -> Optional[int]:
+        """Recycle ``worker`` on a thread; returns its exit code.
+
+        The replacement is handed out by a done-callback, so a second
+        cancellation of the awaiting lease cannot lose it.
+        """
+        import asyncio
+
+        recycled = asyncio.ensure_future(
+            asyncio.to_thread(self._recycle, worker)
+        )
+        recycled.add_done_callback(self._give_recycled)
+        exitcode, _ = await asyncio.shield(recycled)
+        return exitcode
+
+    def _give_recycled(self, recycled) -> None:
+        if not recycled.cancelled() and recycled.exception() is None:
+            self._give(recycled.result()[1])
 
     # -- campaign scheduler front-end ----------------------------------
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -151,12 +152,16 @@ class ServiceApp:
         )
         self.pool = WorkerPool(self, n_workers=self.config.n_workers)
         self.jobs: Dict[str, Job] = {}
-        self._job_order: List[str] = []
+        self._job_order: "deque[str]" = deque()
         self._next_job = 0
         self.n_jobs_accepted = 0
         self.n_jobs_rejected = 0
         self.completed_per_tenant: Dict[str, int] = {}
-        self.completion_order: List[str] = []
+        #: Ids of the most recently finished jobs, oldest first
+        #: (bounded like the job table).
+        self.completion_order: "deque[str]" = deque(
+            maxlen=self.config.max_jobs_retained
+        )
         #: Ready only once journal replay (if any) has run; stateless
         #: deployments have nothing to replay and are born ready.
         self.ready = self.journal is None
@@ -530,7 +535,7 @@ class ServiceApp:
         self.jobs[job.job_id] = job
         self._job_order.append(job.job_id)
         while len(self._job_order) > self.config.max_jobs_retained:
-            stale = self._job_order.pop(0)
+            stale = self._job_order.popleft()
             dropped = self.jobs.get(stale)
             if dropped is not None and dropped.state in ("done", "failed"):
                 del self.jobs[stale]

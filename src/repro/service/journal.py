@@ -152,6 +152,10 @@ class JobJournal:
             cut could).
         compact_segments: :meth:`should_compact` answers ``True`` past
             this many segments.
+
+    The journal counts its segments in memory (set by the opening
+    scan, then kept by segment roll-over and compaction), so the
+    per-job :meth:`should_compact` check touches no directory.
     """
 
     def __init__(
@@ -174,6 +178,7 @@ class JobJournal:
         self._segment_path: Optional[Path] = None
         self._segment_size = 0
         self._next_segment = self._scan_next_segment()
+        self._n_segments = len(self.segments())
         self.n_appends = 0
         self.n_fsyncs = 0
         self.n_compactions = 0
@@ -204,6 +209,7 @@ class JobJournal:
         # non-durable records survive a SIGKILL (they sit in the OS
         # page cache, not in a userspace buffer).
         self._fh = open(path, "ab", buffering=0)
+        self._n_segments += 1
         self._segment_path = path
         self._segment_size = path.stat().st_size
 
@@ -349,7 +355,7 @@ class JobJournal:
     # -- compaction ----------------------------------------------------
 
     def should_compact(self) -> bool:
-        return len(self.segments()) > self.compact_segments
+        return self._n_segments > self.compact_segments
 
     def compact(self, jobs: Iterable[ReplayedJob]) -> int:
         """Snapshot ``jobs`` into one fresh segment; drop older segments.
@@ -396,6 +402,7 @@ class JobJournal:
                 os.fsync(fh.fileno())
                 self.n_fsyncs += 1
         os.replace(tmp, snapshot)
+        self._n_segments += 1
         removed = 0
         for path in old_segments:
             try:
@@ -403,6 +410,7 @@ class JobJournal:
                 removed += 1
             except FileNotFoundError:
                 pass
+            self._n_segments -= 1  # gone either way
         self.n_compactions += 1
         return removed
 
@@ -425,7 +433,7 @@ class JobJournal:
     def to_record(self) -> Dict[str, Any]:
         return {
             "directory": str(self.directory),
-            "segments": len(self.segments()),
+            "segments": self._n_segments,
             "segment_bytes": self.segment_bytes,
             "fsync": self.fsync,
             "n_appends": self.n_appends,

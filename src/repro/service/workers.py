@@ -1,16 +1,20 @@
 """Worker-pool bridge from the async service onto the warm pool.
 
 Each worker is an asyncio task draining the weighted-fair queue.  A
-popped job executes in a worker thread (``asyncio.to_thread``) on a
-persistent pre-forked :class:`~repro.campaign.warmpool.WarmPool` shared
-by all workers -- every kind, ``chaos_*`` included, so no job ever runs
-inside the server process.  Each job is one pipe round-trip to an
-already-imported worker process, with the hardened semantics of the
-batch path: a job whose worker wedges past its ``timeout_s`` or dies
-under it gets the worker killed and respawned, failures retry with
-deterministic backoff up to ``max_attempts``, and exhausted jobs
-surface the campaign's structured
-:class:`~repro.campaign.runner.TaskFailure` record.
+popped job awaits one :meth:`~repro.campaign.warmpool.WarmPool.execute`
+lease on a persistent pre-forked
+:class:`~repro.campaign.warmpool.WarmPool` shared by all workers --
+every kind, ``chaos_*`` included, so no job ever runs inside the server
+process.  The lease runs on the event loop: a healthy job is one pipe
+round-trip to an already-imported worker process with no thread hop,
+and only a recycle (kill + respawn) runs on a thread.  Jobs keep the
+hardened semantics of the batch path: a job whose worker wedges past
+its ``timeout_s`` or dies under it gets the worker killed and
+respawned, failures retry with deterministic backoff up to
+``max_attempts``, and exhausted jobs surface the campaign's structured
+:class:`~repro.campaign.runner.TaskFailure` record.  There are as many
+asyncio workers as worker processes, so a popped job normally finds a
+process idle.
 
 **Single-flight deduplication**: jobs are content-addressed by their
 stable task hash, so when several tenants submit the identical request
@@ -29,7 +33,7 @@ terminate, never a silent drop.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..campaign import CampaignTask
 from ..campaign.warmpool import WarmPool
@@ -190,10 +194,18 @@ class WorkerPool:
         self._inflight[key] = future
         job.mark_running()
         self.n_campaign_executions += 1
-        deadline_s = self._remaining(job)
+        spec = job.decision.spec
         try:
-            result, failure = await asyncio.to_thread(
-                self._run_one, job, deadline_s
+            # The remaining end-to-end budget (net of queue wait) caps
+            # every attempt, so a deadlined job never outlives its
+            # promise.
+            result, task_failure = await self.warm.execute(
+                self._task_for(job),
+                timeout_s=spec.timeout_s,
+                max_attempts=spec.max_attempts,
+                backoff_base_s=0.05,
+                backoff_max_s=1.0,
+                deadline_s=self._remaining(job),
             )
         except BaseException:
             self._inflight.pop(key, None)
@@ -201,13 +213,17 @@ class WorkerPool:
                 future.set_exception(RuntimeError("leader aborted"))
                 future.exception()  # may have no follower to retrieve it
             raise
-        if failure is not None and self._past_deadline(job):
-            failure = {
-                "error": "deadline_exceeded",
-                "stage": "execution",
-                "deadline_at": job.deadline_at,
-                "task_failure": failure,
-            }
+        failure: Optional[Dict[str, Any]] = None
+        if task_failure is not None:
+            failure = task_failure.to_record()
+            failure["error"] = "task_failed"
+            if self._past_deadline(job):
+                failure = {
+                    "error": "deadline_exceeded",
+                    "stage": "execution",
+                    "deadline_at": job.deadline_at,
+                    "task_failure": failure,
+                }
         if failure is None:
             store.put(key, {
                 "task": self._task_for(job).as_dict(),
@@ -235,31 +251,6 @@ class WorkerPool:
         if job.deadline_at is None:
             return None
         return max(0.0, job.deadline_at - self.app.wall())
-
-    def _run_one(
-        self, job: "Job", deadline_s: Optional[float] = None
-    ) -> Tuple[Any, Optional[Dict[str, Any]]]:
-        """Blocking body: one hardened task execution on a worker thread.
-
-        One pipe round-trip on a persistent worker; hung or dead
-        workers are recycled by the pool.  ``deadline_s`` (remaining
-        end-to-end budget, net of queue wait) caps every attempt so a
-        deadlined job can never outlive its promise.
-        """
-        spec = job.decision.spec
-        result, task_failure = self.warm.execute(
-            self._task_for(job),
-            timeout_s=spec.timeout_s,
-            max_attempts=spec.max_attempts,
-            backoff_base_s=0.05,
-            backoff_max_s=1.0,
-            deadline_s=deadline_s,
-        )
-        if task_failure is None:
-            return result, None
-        failure = task_failure.to_record()
-        failure["error"] = "task_failed"
-        return None, failure
 
     def to_record(self) -> Dict[str, Any]:
         record = {

@@ -11,8 +11,15 @@ records are bit-identical to the serial in-process path's.
 
 from __future__ import annotations
 
+import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.campaign import CampaignTask, WarmPool, run_campaign
 
 
@@ -174,13 +181,13 @@ class TestPoolReuse:
 
     def test_execute_front_end(self):
         with WarmPool(n_workers=1) as pool:
-            result, failure = pool.execute(_ok(5), timeout_s=5.0)
+            result, failure = asyncio.run(pool.execute(_ok(5), timeout_s=5.0))
             assert failure is None
             assert result == {"value": 25, "seed": 0}
-            result, failure = pool.execute(
+            result, failure = asyncio.run(pool.execute(
                 CampaignTask("chaos_hang", {"sleep_s": 60.0}),
                 timeout_s=0.3, max_attempts=2, backoff_base_s=0.01,
-            )
+            ))
             assert result is None
             assert failure.index == 0
             assert failure.attempts[-1].outcome == "timeout"
@@ -192,3 +199,112 @@ class TestPoolReuse:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool._lease()
+
+
+class TestAsyncLease:
+    """The service's lease: a coroutine that waits for replies on the
+    loop and recycles workers on a thread."""
+
+    def test_cancelled_lease_releases_a_fresh_worker(self):
+        async def body(pool):
+            doomed = asyncio.ensure_future(pool.execute(
+                CampaignTask("chaos_hang", {"sleep_s": 0.5}), timeout_s=5.0,
+            ))
+            await asyncio.sleep(0.2)
+            doomed.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            # The hung task's late reply must not answer this lease.
+            return await asyncio.wait_for(pool.execute(_ok(7)), 2.0)
+
+        with WarmPool(n_workers=1) as pool:
+            result, failure = asyncio.run(body(pool))
+            assert failure is None
+            assert result == {"value": 49, "seed": 0}
+            assert pool._idle.qsize() == 1  # the pool kept its one worker
+            assert pool.n_recycled == 1
+
+    def test_recycle_runs_off_the_loop(self):
+        """A SIGTERM-deaf worker takes the kill grace period to reap;
+        the loop keeps ticking meanwhile."""
+        async def body(pool):
+            loop = asyncio.get_running_loop()
+            lateness = []
+            done = asyncio.Event()
+
+            async def heartbeat():
+                while not done.is_set():
+                    due = loop.time() + 0.001
+                    await asyncio.sleep(0.001)
+                    lateness.append(loop.time() - due)
+
+            beat = asyncio.ensure_future(heartbeat())
+            outcome = await pool.execute(
+                CampaignTask("chaos_stubborn", {"sleep_s": 60.0}),
+                timeout_s=0.2,
+            )
+            done.set()
+            await beat
+            return outcome, max(lateness)
+
+        with WarmPool(n_workers=1) as pool:
+            (result, failure), worst = asyncio.run(body(pool))
+            assert result is None
+            assert failure.attempts[-1].outcome == "timeout"
+            assert pool.n_recycled == 1
+            assert worst < 0.1, f"heartbeat {worst * 1e3:.0f} ms late"
+
+    def test_leases_wait_for_a_busy_worker(self):
+        async def body(pool):
+            return await asyncio.wait_for(
+                asyncio.gather(*(pool.execute(_ok(i)) for i in range(4))),
+                10.0,
+            )
+
+        with WarmPool(n_workers=1) as pool:
+            outcomes = asyncio.run(body(pool))
+            assert outcomes == [
+                ({"value": i * i, "seed": 0}, None) for i in range(4)
+            ]
+            assert pool.n_spawned == 1
+
+    def test_close_fails_a_waiting_lease(self):
+        async def body(pool):
+            busy = asyncio.ensure_future(
+                pool.execute(CampaignTask("chaos_hang", {"sleep_s": 0.3}))
+            )
+            await asyncio.sleep(0.05)
+            waiting = asyncio.ensure_future(pool.execute(_ok(3)))
+            await asyncio.sleep(0.05)
+            pool.close()
+            return await asyncio.wait_for(
+                asyncio.gather(busy, waiting), 5.0
+            )
+
+        pool = WarmPool(n_workers=1).start()
+        (slept, _), (result, failure) = asyncio.run(body(pool))
+        assert slept == {"slept": True}
+        assert result is None
+        assert failure.attempts[0].message == (
+            "warm pool closed during execution"
+        )
+        assert pool._idle.empty()
+
+    def test_campaigns_never_import_asyncio(self):
+        code = (
+            "import sys\n"
+            "from repro.campaign import CampaignTask, run_campaign\n"
+            "tasks = [CampaignTask('chaos_ok', {'x': i}) for i in range(6)]\n"
+            "assert run_campaign(tasks, n_workers=2).ok\n"
+            "assert 'asyncio' not in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

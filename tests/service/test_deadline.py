@@ -142,7 +142,9 @@ class TestExecutionBudget:
     def test_warm_pool_budget_exhausts_before_leasing(self):
         pool = WarmPool(n_workers=1)
         task = CampaignTask(kind="chaos_ok", params={"x": 3})
-        result, failure = pool.execute(task, max_attempts=3, deadline_s=0.0)
+        result, failure = asyncio.run(
+            pool.execute(task, max_attempts=3, deadline_s=0.0)
+        )
         assert result is None
         assert failure.attempts[0].outcome == "timeout"
         assert "deadline budget" in failure.attempts[0].message
@@ -153,10 +155,10 @@ class TestExecutionBudget:
             task = CampaignTask(
                 kind="chaos_error", params={"message": "boom"}
             )
-            result, failure = pool.execute(
+            result, failure = asyncio.run(pool.execute(
                 task, max_attempts=5, backoff_base_s=5.0,
                 backoff_max_s=5.0, deadline_s=0.5,
-            )
+            ))
         assert result is None
         # Far fewer than 5 attempts ran: the 0.5 s budget cannot absorb
         # 5 s backoffs, so retries are abandoned once it is spent.

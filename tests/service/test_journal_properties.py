@@ -208,3 +208,38 @@ class TestSegmentRollover:
         report = JobJournal(tmp_path, fsync=False).replay()
         assert len(report.jobs) == 50
         assert report.n_records == 100
+
+
+class TestSegmentCount:
+    """``should_compact`` reads an in-memory segment count; it must
+    always equal what a directory scan finds."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["append", "compact", "reopen"]),
+                  st.integers(min_value=1, max_value=40)),
+        min_size=1, max_size=12,
+    ))
+    def test_count_matches_the_directory(self, tmp_path_factory, plan):
+        directory = tmp_path_factory.mktemp("journal")
+
+        def reopen():
+            return JobJournal(directory, segment_bytes=1024, fsync=False,
+                              compact_segments=3)
+
+        journal = reopen()
+        job = 0
+        for action, n in plan:
+            if action == "append":
+                for _ in range(n):
+                    _write(journal, [("admit", job), ("event", job, 0, "q")])
+                    job += 1
+            elif action == "compact":
+                journal.compact(journal.replay().jobs.values())
+            else:
+                journal.close()
+                journal = reopen()
+            on_disk = len(journal.segments())
+            assert journal.to_record()["segments"] == on_disk
+            assert journal.should_compact() == (on_disk > 3)
+        journal.close()

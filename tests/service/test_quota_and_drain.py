@@ -83,6 +83,25 @@ class TestResultByteQuota:
         asyncio.run(body())
 
 
+class TestRetention:
+    def test_finished_job_ledgers_stay_bounded(self, service_harness):
+        async def body():
+            async with service_harness(
+                n_workers=1, max_jobs_retained=10,
+            ) as (app, client):
+                job_ids = []
+                for seed in range(15):
+                    status, accepted = await client.post_job(_job(seed))
+                    assert status == 202
+                    await client.wait_done(accepted["job_id"])
+                    job_ids.append(accepted["job_id"])
+                assert len(app.completion_order) == 10
+                assert list(app.completion_order) == job_ids[-10:]
+                assert len(app.jobs) == 10
+
+        asyncio.run(body())
+
+
 class TestDrainingShutdown:
     def test_in_flight_job_finishes_within_grace(self):
         async def body():
