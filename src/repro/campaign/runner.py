@@ -8,10 +8,12 @@ of two paths:
   ``timeout_s``, tasks run one after another in the calling process.
   This is the reference path the pool is tested against; it cannot
   contain a task that crashes or hangs its process.
-* **warm pool** -- every other call streams the tasks over the
-  long-lived worker processes of a
+* **warm pool** -- every other call runs one
+  :meth:`~repro.campaign.warmpool.WarmPool.lane` per worker under
+  ``asyncio.run``: each lane leases a long-lived worker process of a
   :class:`~repro.campaign.warmpool.WarmPool` (one created for the run,
-  or the caller's ``warm_pool``).
+  or the caller's ``warm_pool``) and streams batches of tasks through
+  it.
 
 Both paths share these properties:
 
@@ -36,8 +38,10 @@ Both paths share these properties:
   retry up to ``max_attempts`` times with exponential backoff plus
   deterministic jitter; a task still failing after its last attempt is
   **quarantined** (its result slot stays ``None``) and the campaign
-  runs to completion.  Opt back into the old fail-fast behaviour with
-  ``raise_on_error=True``.
+  runs to completion.  Both paths, and the service's
+  :meth:`~repro.campaign.warmpool.WarmPool.execute`, charge a failed
+  attempt with the one rule :meth:`AttemptPolicy.charge`.  Opt back
+  into the old fail-fast behaviour with ``raise_on_error=True``.
 * **Metrics** -- a :class:`CampaignStats` records tasks done, cache
   hits, retries, timeouts, crashes, quarantines, wall-clock, aggregate
   in-task compute time, and the implied worker utilization; a
@@ -49,10 +53,14 @@ Duplicate tasks (same stable hash) are executed once and their result
 
 from __future__ import annotations
 
+import asyncio
 import random
 import time
 import traceback
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .cache import ResultCache
@@ -267,12 +275,91 @@ class _Pending:
     failures: List[TaskAttemptFailure] = field(default_factory=list)
 
 
+@dataclass
+class AttemptPolicy:
+    """How often, for how long, and until when a task may be attempted.
+
+    The serial path, the warm pool's campaign lanes and
+    :meth:`~repro.campaign.warmpool.WarmPool.execute` all decide a
+    failed attempt's fate with :meth:`charge`.  ``deadline_s`` is a
+    budget across all attempts, counted from the policy's creation (the
+    service's end-to-end deadline, already net of queue wait).
+    """
+
+    max_attempts: int = 1
+    timeout_s: Optional[float] = None
+    backoff_base_s: float = 0.1
+    backoff_max_s: float = 5.0
+    deadline_s: Optional[float] = None
+    deadline_at: Optional[float] = field(init=False)  # time.monotonic()
+
+    def __post_init__(self) -> None:
+        self.deadline_at = (
+            None if self.deadline_s is None
+            else time.monotonic() + self.deadline_s
+        )
+
+    def limit(self) -> Optional[float]:
+        """Time limit of an attempt starting now: ``timeout_s``, clamped
+        to the deadline budget left."""
+        if self.deadline_at is None:
+            return self.timeout_s
+        remaining = self.deadline_at - time.monotonic()
+        return remaining if self.timeout_s is None else min(
+            self.timeout_s, remaining
+        )
+
+    def charge(
+        self,
+        slot: _Pending,
+        failure: Optional[TaskAttemptFailure],
+        stats: "CampaignStats",
+    ) -> Optional[float]:
+        """Charge ``slot`` a failed attempt: the seconds to wait before
+        its next attempt, or ``None`` to quarantine it.
+
+        Retries back off exponentially with deterministic jitter.  A
+        retry the deadline budget would run out before is abandoned,
+        with a ``timeout`` record for the attempt it would have been.
+        ``failure=None`` asks the same of an attempt about to start,
+        charging nothing else.
+        """
+        delay = 0.0
+        if failure is not None:
+            slot.failures.append(failure)
+            if failure.outcome == "timeout":
+                stats.n_timeouts += 1
+            elif failure.outcome == "crash":
+                stats.n_crashes += 1
+            if slot.attempt >= self.max_attempts:
+                return None
+            delay = _backoff_delay(
+                slot.task, slot.attempt, self.backoff_base_s,
+                self.backoff_max_s,
+            )
+            slot.attempt += 1
+        if (
+            self.deadline_at is not None
+            and self.deadline_at - time.monotonic() <= delay
+        ):
+            slot.failures.append(TaskAttemptFailure(
+                attempt=slot.attempt,
+                outcome="timeout",
+                error_type=None,
+                message=(
+                    f"deadline budget ({self.deadline_s:.3f}s) exhausted "
+                    f"before attempt {slot.attempt}"
+                ),
+                elapsed_s=0.0,
+            ))
+            return None
+        if failure is not None:
+            stats.n_retries += 1
+        return delay
+
+
 def _run_in_process(
-    slot: _Pending,
-    max_attempts: int,
-    backoff_base_s: float,
-    backoff_max_s: float,
-    stats: CampaignStats,
+    slot: _Pending, policy: AttemptPolicy, stats: CampaignStats
 ) -> Optional[Tuple[Any, float]]:
     """Serial in-process attempts (no crash/hang containment, no timeout)."""
     while True:
@@ -281,20 +368,58 @@ def _run_in_process(
             result = execute_task(slot.task)
             return result, time.perf_counter() - start
         except Exception as exc:  # KeyboardInterrupt etc. still propagate
-            slot.failures.append(_error_attempt(
+            delay = policy.charge(slot, _error_attempt(
                 slot.attempt,
                 type(exc).__name__,
                 str(exc),
                 traceback.format_exc(limit=20),
                 time.perf_counter() - start,
-            ))
-            if slot.attempt >= max_attempts:
+            ), stats)
+            if delay is None:
                 return None
-            stats.n_retries += 1
-            time.sleep(_backoff_delay(
-                slot.task, slot.attempt, backoff_base_s, backoff_max_s
-            ))
-            slot.attempt += 1
+            time.sleep(delay)
+
+
+async def _run_lanes(
+    pool, slots: List[_Pending], policy: AttemptPolicy,
+    stats: CampaignStats, settle, quarantine, own_pool: bool,
+) -> None:
+    """Drain ``slots`` with one :meth:`WarmPool.lane` per pool worker.
+
+    A callback that raises (``raise_on_error``) aborts the campaign: it
+    closes the campaign's own pool and cancels the other lanes in one
+    step, so no abandoned lease forks a replacement worker.
+    """
+    pending = deque(slots)
+    lanes: List[Any] = []
+
+    def aborting(callback):
+        def call(*args):
+            try:
+                callback(*args)
+            except BaseException:
+                for lane in lanes:
+                    if lane is not asyncio.current_task():
+                        lane.cancel()
+                if own_pool:
+                    pool.close()
+                raise
+        return call
+
+    lanes.extend(
+        asyncio.create_task(pool.lane(
+            pending, policy, stats, aborting(settle), aborting(quarantine)
+        ))
+        for _ in range(pool.n_workers)
+    )
+    # Every lane hands back or recycles its worker before this returns;
+    # a lane the abort cancelled (perhaps before it started) reports
+    # nothing, the failure that caused the abort is raised.
+    for outcome in await asyncio.gather(*lanes, return_exceptions=True):
+        if isinstance(outcome, BaseException) and not isinstance(
+            outcome, asyncio.CancelledError
+        ):
+            raise outcome
 
 
 # ----------------------------------------------------------------------
@@ -428,18 +553,19 @@ def run_campaign(
         if raise_on_error:
             raise CampaignTaskError(failure)
 
-    to_run = [(indices[0], task_list[indices[0]]) for indices in pending.values()]
+    slots = [_Pending(indices[0], task_list[indices[0]])
+             for indices in pending.values()]
+    policy = AttemptPolicy(
+        max_attempts, timeout_s, backoff_base_s, backoff_max_s
+    )
     if warm_pool is None and n_workers <= 1 and timeout_s is None:
-        for index, task in to_run:
-            slot = _Pending(index, task)
-            outcome = _run_in_process(
-                slot, max_attempts, backoff_base_s, backoff_max_s, stats
-            )
+        for slot in slots:
+            outcome = _run_in_process(slot, policy, stats)
             if outcome is None:
                 quarantine(slot)
             else:
-                complete(index, *outcome)
-    elif to_run:
+                complete(slot.index, *outcome)
+    elif slots:
         from .warmpool import WarmPool
 
         pool = warm_pool
@@ -447,13 +573,17 @@ def run_campaign(
             pool = WarmPool(n_workers=max(1, n_workers)).start()
         try:
             stats.n_workers = pool.n_workers
-            pool.run_tasks(
-                to_run, complete, quarantine, stats,
-                timeout_s=timeout_s,
-                max_attempts=max_attempts,
-                backoff_base_s=backoff_base_s,
-                backoff_max_s=backoff_max_s,
-            )
+            run = partial(asyncio.run, _run_lanes(
+                pool, slots, policy, stats, complete, quarantine,
+                own_pool=pool is not warm_pool,
+            ))
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:  # no loop in this thread: the usual case
+                run()
+            else:  # called from a coroutine, e.g. a notebook cell
+                with ThreadPoolExecutor(1) as helper:
+                    helper.submit(run).result()
         finally:
             if pool is not warm_pool:
                 pool.close()

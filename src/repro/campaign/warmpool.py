@@ -12,40 +12,37 @@ even starts; :class:`WarmPool` keeps the containment without that cost:
   (:data:`PRELOAD_MODULES`), and then executes a *stream* of tasks over
   a duplex pipe.  A task dispatch is one pickle round-trip (~10 us)
   instead of one process spawn (~2-4 ms).
-* **Micro-batched dispatch** -- the campaign scheduler sends up to
-  ``batch_size`` tasks per pipe message and the worker streams results
-  back one message per task, so pipe wakeups amortize across a batch
-  while per-task timeout verdicts stay exact.
+* **One batched dispatcher** -- :meth:`WarmPool.lane`, an asyncio
+  coroutine, is the only way work reaches a worker.  It leases an idle
+  worker, sends it up to :data:`BATCH_SIZE` ready tasks in one pipe
+  message, and settles each reply as it arrives, so the caller's
+  bookkeeping (a campaign's cache write) overlaps the worker's next
+  task.  Each task's timeout starts at the previous reply.  A campaign
+  runs ``n_workers`` lanes under ``asyncio.run``; the service's
+  :meth:`WarmPool.execute` is a lane over one task on its own loop.
 * **Deadline enforcement by recycling** -- a worker that wedges past a
   task's ``timeout_s`` (or dies under it) is SIGTERM/SIGKILLed and a
-  fresh worker forked in its place; tasks queued behind the dead head
-  migrate to the replacement without being charged an attempt.  Retry,
-  deterministic backoff, quarantine, and the
-  :class:`~repro.campaign.runner.TaskFailure` schema match the serial
-  in-process path of :func:`~repro.campaign.runner.run_campaign`.
-* **Two front-ends** -- the single-threaded campaign scheduler
-  (:meth:`WarmPool.run_tasks`, used by
-  :func:`~repro.campaign.runner.run_campaign`) and an asyncio lease
-  (:meth:`WarmPool.execute`, a coroutine) for concurrent submitters on
-  one event loop such as the service's worker bridge
-  (:mod:`repro.service.workers`).  The lease waits for replies on the
-  loop; only recycles run on a thread.  ``asyncio`` is imported inside
-  the coroutines, so campaign processes never load it.
+  fresh worker forked in its place, on a thread so the loop keeps
+  running.  The task is charged an attempt; the tasks batched behind it
+  never ran and go back uncharged.  A task that raises is charged and
+  its worker goes on.  Retry, deterministic backoff, deadline budget
+  and quarantine are :meth:`~repro.campaign.runner.AttemptPolicy.charge`,
+  the rule the serial in-process path of
+  :func:`~repro.campaign.runner.run_campaign` applies too, so results
+  and :class:`~repro.campaign.runner.TaskFailure` records match it.
 
 Worker state *persists across tasks* -- that is the whole point.  A
 pool built with ``max_tasks_per_worker=1`` recycles each worker after
-every task on both front-ends, so every attempt gets a fresh
-interpreter (at the cost of one fork per task) for task kinds that must
-not share one.
+every task, so every attempt gets a fresh interpreter (at the cost of
+one fork per task) for task kinds that must not share one.
 """
 
 from __future__ import annotations
 
+import asyncio
 import importlib
 import multiprocessing
-import multiprocessing.connection
-import queue as thread_queue
-import threading
+import select
 import time
 import traceback
 from collections import deque
@@ -53,9 +50,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .registry import execute_task
 from .runner import (
+    AttemptPolicy,
+    CampaignStats,
     TaskAttemptFailure,
     TaskFailure,
-    _backoff_delay,
     _error_attempt,
     _Pending,
 )
@@ -77,6 +75,10 @@ PRELOAD_MODULES = (
 #: Grace period between SIGTERM and SIGKILL when recycling a worker.
 _KILL_GRACE_S = 0.25
 
+#: Most tasks a lane sends down one pipe message: pipe wake-ups amortize
+#: over a batch while every task keeps its own timeout verdict.
+BATCH_SIZE = 4
+
 
 def _preload() -> None:
     for name in PRELOAD_MODULES:
@@ -87,7 +89,7 @@ def _preload() -> None:
 
 
 def _worker_main(conn) -> None:
-    """Child-process body: serve micro-batches of tasks until EOF.
+    """Child-process body: serve batches of tasks until EOF.
 
     Protocol: the parent sends either ``None`` (shut down) or a list of
     :class:`CampaignTask`; the worker answers **one message per task**,
@@ -215,46 +217,40 @@ class WarmPool:
 
     Args:
         n_workers: Long-lived worker processes to keep warm.
-        batch_size: Upper bound on tasks sent per pipe message by the
-            campaign scheduler (:meth:`run_tasks`); amortizes pipe
-            wakeups without widening any timeout window.
         max_tasks_per_worker: Optional hygiene bound -- a worker that
             has been sent this many tasks is recycled before it gets
-            another, bounding cross-task state accumulation; ``1``
-            gives every task attempt a fresh process.
+            another (and a batch never takes it past the bound),
+            bounding cross-task state accumulation; ``1`` gives every
+            task attempt a fresh process.
         context: ``multiprocessing`` context (defaults to the platform
             default).
 
     The pool is a context manager; :meth:`close` (or ``with``-exit)
-    kills every worker.  Counters (:attr:`n_spawned`,
-    :attr:`n_recycled`, :attr:`n_tasks_done`) feed benchmarks, the
-    service stats endpoint, and the chaos suite.
+    kills every idle worker.  Its leases run on one event loop at a
+    time.  Counters (:attr:`n_spawned`, :attr:`n_recycled`,
+    :attr:`n_tasks_done`) feed benchmarks, the service stats endpoint,
+    and the chaos suite.
     """
 
     def __init__(
         self,
         n_workers: int = 1,
-        batch_size: int = 4,
         max_tasks_per_worker: Optional[int] = None,
         context=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_tasks_per_worker is not None and max_tasks_per_worker < 1:
             raise ValueError(
                 "max_tasks_per_worker must be >= 1, "
                 f"got {max_tasks_per_worker}"
             )
         self.n_workers = n_workers
-        self.batch_size = batch_size
         self.max_tasks_per_worker = max_tasks_per_worker
         self.context = context or multiprocessing.get_context()
-        self._idle: "thread_queue.Queue[_WorkerHandle]" = thread_queue.Queue()
+        self._idle: deque = deque()
         #: Futures of leases waiting on the loop for a worker (FIFO).
         self._waiters: deque = deque()
-        self._lock = threading.Lock()
         self._started = False
         self._closed = False
         self.n_spawned = 0
@@ -265,36 +261,33 @@ class WarmPool:
 
     def start(self) -> "WarmPool":
         """Fork the workers (idempotent); returns ``self`` for chaining."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("warm pool already closed")
-            if self._started:
-                return self
+        if self._closed:
+            raise RuntimeError("warm pool already closed")
+        if not self._started:
             self._started = True
-            for _ in range(self.n_workers):
-                self._idle.put(self._spawn())
+            self._idle.extend(
+                _WorkerHandle(self.context) for _ in range(self.n_workers)
+            )
+            self.n_spawned += self.n_workers
         return self
 
     def close(self) -> None:
         """Kill every idle worker and refuse further work (idempotent).
 
-        Leased workers are killed by their leaseholder on release;
-        leases waiting for a worker fail with ``RuntimeError``.
+        Leased workers are killed by their leaseholder on release: a
+        lease cancelled in the same loop step as the close recycles its
+        worker without forking a replacement.  Leases waiting for a
+        worker fail with ``RuntimeError``.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        if self._closed:
+            return
+        self._closed = True
         while self._waiters:
             waiter = self._waiters.popleft()
             if not waiter.done():
                 waiter.set_exception(RuntimeError("warm pool closed"))
-        while True:
-            try:
-                worker = self._idle.get_nowait()
-            except thread_queue.Empty:
-                break
-            worker.kill()
+        while self._idle:
+            self._idle.popleft().kill()
 
     @property
     def closed(self) -> bool:
@@ -306,60 +299,28 @@ class WarmPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _spawn(self) -> _WorkerHandle:
-        handle = _WorkerHandle(self.context)
-        self.n_spawned += 1
-        return handle
-
     def _recycle(
         self, worker: _WorkerHandle
     ) -> Tuple[Optional[int], Optional[_WorkerHandle]]:
-        """Kill ``worker``; fork a replacement unless the pool is closed."""
+        """Kill ``worker``; fork a replacement unless the pool is closed.
+
+        Runs on a thread, so it leaves the counters to its caller.
+        """
         exitcode = worker.kill()
-        self.n_recycled += 1
         if self._closed:
             return exitcode, None
-        return exitcode, self._spawn()
-
-    def _lease(self) -> _WorkerHandle:
-        """Check one worker out (thread-safe); blocks until one is free."""
-        if not self._started:
-            self.start()
-        while True:
-            if self._closed:
-                raise RuntimeError("warm pool closed")
-            try:
-                return self._idle.get(timeout=0.1)
-            except thread_queue.Empty:
-                continue
-
-    def _release(self, worker: Optional[_WorkerHandle]) -> None:
-        """Return a clean worker to the idle set (recycling a tired one)."""
-        if worker is None:
-            return
-        if self._closed:
-            worker.kill()
-            return
-        if (
-            self.max_tasks_per_worker is not None
-            and worker.n_dispatched >= self.max_tasks_per_worker
-        ):
-            _, worker = self._recycle(worker)
-            if worker is None:
-                return
-        self._idle.put(worker)
+        return exitcode, _WorkerHandle(self.context)
 
     def to_record(self) -> Dict[str, Any]:
         return {
             "n_workers": self.n_workers,
-            "batch_size": self.batch_size,
             "n_spawned": self.n_spawned,
             "n_recycled": self.n_recycled,
             "n_tasks_done": self.n_tasks_done,
             "closed": self._closed,
         }
 
-    # -- asyncio single-task front-end (service bridge) ----------------
+    # -- the dispatcher ------------------------------------------------
 
     async def execute(
         self,
@@ -370,25 +331,15 @@ class WarmPool:
         backoff_max_s: float = 5.0,
         deadline_s: Optional[float] = None,
     ):
-        """Run one task with full hardened semantics on a leased worker.
+        """Run one task with full hardened semantics: a :meth:`lane`
+        over that one task on the caller's event loop.
 
-        A coroutine driven by the caller's event loop: the task goes down
-        an idle worker's pipe and the loop wakes (``loop.add_reader``)
-        when the reply is readable, so a healthy attempt makes no thread
-        hop.  Only a recycle -- a kill that may join for up to
-        ``_KILL_GRACE_S`` plus a fork -- runs on a thread
-        (``asyncio.to_thread``), after a timeout, a dead pipe, a
-        cancellation, or a ``max_tasks_per_worker`` bound.
-
-        Retries, deterministic backoff, timeout verdicts, and the
-        quarantine record are bit-compatible with a single-task
-        :func:`~repro.campaign.runner.run_campaign`: the same result or
-        the same :class:`~repro.campaign.runner.TaskFailure` comes
-        back.  Concurrent callers on one loop lease distinct workers; a
-        caller that finds none idle waits on the loop until another
-        lease hands one back or the pool closes.  (Workers returned by
-        :meth:`run_tasks` go to the idle set without waking a waiting
-        lease, so drive a pool with one front-end at a time.)
+        The same result or the same
+        :class:`~repro.campaign.runner.TaskFailure` comes back as from a
+        single-task :func:`~repro.campaign.runner.run_campaign`.
+        Concurrent callers on one loop lease distinct workers; a caller
+        that finds none idle waits on the loop until another lease hands
+        one back or the pool closes.
 
         ``deadline_s`` is an *absolute budget across all attempts*
         (the service's end-to-end deadline, already net of queue wait):
@@ -397,129 +348,208 @@ class WarmPool:
         remaining retries are abandoned with a ``timeout`` attempt
         record instead of being burned on an answer nobody will read.
 
-        Cancelled with its task in flight, the lease kills that worker
-        and releases a replacement (unless the pool is closed), so the
-        pool keeps its size and no later lease reads the stale reply.
-
         Returns:
             ``(result, None)`` on success, ``(None, TaskFailure)``
             after the last failed attempt.
         """
-        import asyncio  # here, not at module level: campaigns never need it
-
-        max_attempts = max(1, max_attempts)
-        deadline_at = (
-            time.monotonic() + deadline_s if deadline_s is not None else None
-        )
-        failures: List[TaskAttemptFailure] = []
-        for attempt in range(1, max_attempts + 1):
-            attempt_timeout = timeout_s
-            if deadline_at is not None:
-                remaining = deadline_at - time.monotonic()
-                if remaining <= 0.0:
-                    failures.append(TaskAttemptFailure(
-                        attempt=attempt,
-                        outcome="timeout",
-                        error_type=None,
-                        message=(
-                            f"deadline budget ({deadline_s:.3f}s) exhausted "
-                            f"before attempt {attempt}"
-                        ),
-                        elapsed_s=0.0,
-                    ))
-                    break
-                attempt_timeout = (
-                    remaining if attempt_timeout is None
-                    else min(attempt_timeout, remaining)
-                )
-            try:
-                worker = await self._lease_async()
-            except RuntimeError:
-                failures.append(TaskAttemptFailure(
-                    attempt=attempt,
-                    outcome="crash",
-                    error_type=None,
-                    message="warm pool closed during execution",
-                    elapsed_s=0.0,
-                ))
-                break
-            outcome = await self._attempt(
-                worker, task, attempt_timeout, attempt
+        slot = _Pending(0, task)
+        results: List[Any] = []
+        try:
+            await self.lane(
+                deque([slot]),
+                AttemptPolicy(
+                    max_attempts, timeout_s, backoff_base_s, backoff_max_s,
+                    deadline_s,
+                ),
+                CampaignStats(),
+                lambda index, result, elapsed: results.append(result),
+                lambda _: None,
             )
-            if outcome[0] == "ok":
-                self.n_tasks_done += 1
-                return outcome[1][0], None
-            failures.append(outcome[1])
-            if attempt < max_attempts and not self._closed:
-                delay = _backoff_delay(
-                    task, attempt, backoff_base_s, backoff_max_s
-                )
-                if deadline_at is not None:
-                    delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-                await asyncio.sleep(delay)
+        except RuntimeError:  # the pool closed
+            slot.failures.append(TaskAttemptFailure(
+                attempt=slot.attempt,
+                outcome="crash",
+                error_type=None,
+                message="warm pool closed during execution",
+                elapsed_s=0.0,
+            ))
+        if results:
+            return results[0], None
         return None, TaskFailure(
             index=0,
             key=task.key,
             kind=task.kind,
             params=dict(task.params),
             seed=task.seed,
-            attempts=failures,
+            attempts=slot.failures,
         )
 
-    async def _attempt(
+    async def lane(
         self,
-        worker: _WorkerHandle,
-        task: CampaignTask,
-        timeout_s: Optional[float],
-        attempt: int,
-    ) -> Tuple[str, Any]:
-        """One attempt on a leased worker, which it always hands back.
+        pending: deque,
+        policy: AttemptPolicy,
+        stats: CampaignStats,
+        settle: Callable[[int, Any, float], None],
+        quarantine: Callable[[_Pending], None],
+    ) -> None:
+        """Drain ``pending`` (runner ``_Pending`` slots) over leased workers.
 
-        Returns the outcome as produced by :func:`_classify_message`.
-        The reader fires on the reply's first bytes and ``conn.recv()``
-        then reads the rest synchronously; the worker is writing it at
-        that moment, so even a large reply blocks the loop only for the
-        copy.
+        Each pass takes up to :data:`BATCH_SIZE` slots whose backoff has
+        passed, leases a worker (waiting on the loop if none is idle),
+        and streams the batch through it.  Lanes may share one
+        ``pending`` deque: a lane returns when it finds the deque empty,
+        and a lane that puts a slot back always passes again.
+        ``settle(index, result, elapsed_s)`` gets each result as its
+        reply arrives, ``quarantine(slot)`` each slot out of attempts.
+        Raises ``RuntimeError`` once the pool is closed.
         """
-        import asyncio
+        while pending:
+            if self._closed:
+                raise RuntimeError("warm pool closed")
+            now = time.monotonic()
+            batch: List[_Pending] = []
+            for _ in range(len(pending)):
+                if len(batch) == BATCH_SIZE:
+                    break
+                slot = pending.popleft()
+                if slot.not_before > now:
+                    pending.append(slot)
+                elif policy.charge(slot, None, stats) is None:
+                    quarantine(slot)
+                else:
+                    batch.append(slot)
+            if not batch:
+                if pending:  # every slot is backing off
+                    await asyncio.sleep(
+                        min(slot.not_before for slot in pending) - now
+                    )
+                continue
+            worker = await self._lease()
+            if self.max_tasks_per_worker is not None:
+                room = self.max_tasks_per_worker - worker.n_dispatched
+                pending.extendleft(reversed(batch[room:]))
+                del batch[room:]
+            await self._stream(
+                worker, batch, pending, policy, stats, settle, quarantine
+            )
 
+    async def _stream(
+        self, worker, batch, pending, policy, stats, settle, quarantine
+    ) -> None:
+        """Run ``batch`` on a leased ``worker``, which it always hands back.
+
+        One pipe message carries the batch; each reply is settled as it
+        arrives, and each task's time limit starts at the previous
+        reply.  A timeout or a dead pipe recycles the worker and charges
+        the head task; the tail never ran, so it goes back to
+        ``pending`` uncharged.  A task that raised is charged and the
+        worker goes on.
+        """
+        in_flight = deque(batch)
         started = time.monotonic()
         try:
-            worker.dispatch([task])
-        except (BrokenPipeError, OSError):
-            exitcode = await self._replace(worker)
-            return "fail", _crash_failure(
-                attempt, exitcode, time.monotonic() - started
-            )
-        loop = asyncio.get_running_loop()
-        readable = loop.create_future()
-        fd = worker.conn.fileno()
-        loop.add_reader(fd, _wake, readable)
-        try:
             try:
-                await asyncio.wait_for(readable, timeout_s)
+                worker.dispatch([slot.task for slot in batch])
+            except OSError:
+                pass  # a dead pipe: reading the first reply reports it
+            while in_flight:
+                slot = in_flight[0]
+                limit = policy.limit()
+                try:
+                    message = await self._reply(
+                        worker,
+                        None if limit is None
+                        else limit - (time.monotonic() - started),
+                    )
+                except (asyncio.TimeoutError, EOFError, OSError) as exc:
+                    elapsed = time.monotonic() - started
+                    dead, worker = worker, None
+                    exitcode = await self._replace(dead)
+                    if isinstance(exc, asyncio.TimeoutError):
+                        outcome = _timeout_failure(
+                            slot.attempt, limit, elapsed
+                        )
+                    else:
+                        outcome = _crash_failure(
+                            slot.attempt, exitcode, elapsed
+                        )
+                    in_flight.popleft()
+                    pending.extendleft(reversed(in_flight))
+                    in_flight.clear()
+                else:
+                    now = time.monotonic()
+                    in_flight.popleft()
+                    verdict, outcome = _classify_message(
+                        message, slot.attempt, limit, now - started
+                    )
+                    started = now
+                    if verdict == "ok":
+                        self.n_tasks_done += 1
+                        settle(slot.index, *outcome)
+                        continue
+                delay = policy.charge(slot, outcome, stats)
+                if delay is None:
+                    quarantine(slot)
+                else:
+                    slot.not_before = time.monotonic() + delay
+                    pending.append(slot)
+        except BaseException:
+            # Cancelled, or a callback raised: replies still in the pipe
+            # must never reach a later lease.
+            if worker is not None:
+                if in_flight:
+                    await self._replace(worker)
+                else:
+                    await self._release(worker)
+            raise
+        if worker is not None:
+            await self._release(worker)
+
+    async def _reply(self, worker: _WorkerHandle, timeout: Optional[float]):
+        """The worker's next reply message.
+
+        A reply already in the pipe is read at once and judged by the
+        worker's clock; otherwise the loop wakes when it becomes
+        readable (``asyncio.TimeoutError`` after ``timeout``).  The
+        reader fires on the reply's first bytes and ``conn.recv()``
+        reads the rest while the worker is writing it, so even a large
+        reply blocks the loop only for the copy.
+        """
+        fd = worker.conn.fileno()
+        if not select.select([fd], (), (), 0)[0]:
+            loop = asyncio.get_running_loop()
+            readable = loop.create_future()
+            loop.add_reader(fd, _wake, readable)
+            try:
+                await asyncio.wait_for(readable, timeout)
             finally:
                 # Before any recycle closes the fd under the selector.
                 loop.remove_reader(fd)
-            message = worker.conn.recv()
-        except asyncio.TimeoutError:
-            elapsed = time.monotonic() - started
-            await self._replace(worker)
-            return "fail", _timeout_failure(attempt, timeout_s, elapsed)
-        except (EOFError, OSError):
-            # The worker died under the task (e.g. killed itself).
-            exitcode = await self._replace(worker)
-            return "fail", _crash_failure(
-                attempt, exitcode, time.monotonic() - started
-            )
-        except BaseException:
-            # Cancelled with the task in flight: its reply must never
-            # reach a later lease, and the pool must not shrink.
-            await self._replace(worker)
+        return worker.conn.recv()
+
+    async def _lease(self) -> _WorkerHandle:
+        """Check one worker out, waiting on the loop if none is idle."""
+        if not self._started:
+            self.start()
+        if self._closed:
+            raise RuntimeError("warm pool closed")
+        if self._idle:
+            return self._idle.popleft()
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            return await waiter
+        except asyncio.CancelledError:
+            if (
+                waiter.done() and not waiter.cancelled()
+                and waiter.exception() is None
+            ):
+                # Handed a worker just as this lease was cancelled.
+                self._give(waiter.result())
             raise
-        outcome = _classify_message(
-            message, attempt, timeout_s, time.monotonic() - started
-        )
+
+    async def _release(self, worker: _WorkerHandle) -> None:
+        """Hand back a worker whose replies have all been read."""
         if self._closed:
             await asyncio.to_thread(worker.kill)
         elif (
@@ -529,29 +559,6 @@ class WarmPool:
             await self._replace(worker)
         else:
             self._give(worker)
-        return outcome
-
-    async def _lease_async(self) -> _WorkerHandle:
-        """Check one worker out on the loop, waiting there if none is idle."""
-        import asyncio
-
-        if not self._started:
-            self.start()
-        if self._closed:
-            raise RuntimeError("warm pool closed")
-        try:
-            return self._idle.get_nowait()
-        except thread_queue.Empty:
-            pass
-        waiter = asyncio.get_running_loop().create_future()
-        self._waiters.append(waiter)
-        try:
-            return await waiter
-        except asyncio.CancelledError:
-            if waiter.done() and not waiter.cancelled():
-                # Handed a worker just as this lease was cancelled.
-                self._give(waiter.result())
-            raise
 
     def _give(self, worker: Optional[_WorkerHandle]) -> None:
         """Hand a clean worker to the oldest waiting lease, else idle it."""
@@ -565,271 +572,32 @@ class WarmPool:
             if not waiter.done():
                 waiter.set_result(worker)
                 return
-        self._idle.put(worker)
+        self._idle.append(worker)
 
     async def _replace(self, worker: _WorkerHandle) -> Optional[int]:
-        """Recycle ``worker`` on a thread; returns its exit code.
+        """Recycle ``worker`` on a thread and hand out its replacement;
+        returns the old worker's exit code.
 
-        The replacement is handed out by a done-callback, so a second
-        cancellation of the awaiting lease cannot lose it.
+        A kill may join for up to ``_KILL_GRACE_S`` and a fork follows,
+        so the loop keeps running meanwhile.  The recycle runs to the
+        end even if the awaiting lease is cancelled (the cancellation is
+        raised after it), so no replacement is lost and a campaign's
+        loop never closes over a half-done fork.
         """
-        import asyncio
-
         recycled = asyncio.ensure_future(
             asyncio.to_thread(self._recycle, worker)
         )
-        recycled.add_done_callback(self._give_recycled)
-        exitcode, _ = await asyncio.shield(recycled)
-        return exitcode
-
-    def _give_recycled(self, recycled) -> None:
-        if not recycled.cancelled() and recycled.exception() is None:
-            self._give(recycled.result()[1])
-
-    # -- campaign scheduler front-end ----------------------------------
-
-    def run_tasks(
-        self,
-        to_run: List[Tuple[int, CampaignTask]],
-        on_success: Callable[[int, Any, float], None],
-        on_quarantine: Callable[[Any], None],
-        stats,
-        timeout_s: Optional[float] = None,
-        max_attempts: int = 1,
-        backoff_base_s: float = 0.1,
-        backoff_max_s: float = 5.0,
-    ) -> None:
-        """Stream a campaign's unique tasks over the warm workers.
-
-        Single-threaded scheduler with the retry / timeout / quarantine
-        semantics of :func:`~repro.campaign.runner.run_campaign`,
-        dispatching micro-batches onto persistent workers.  Checks
-        every worker out of the lease queue for the duration, so a pool
-        shared with a service bridge is driven safely by one front-end
-        at a time per worker.
-        """
-        workers = [self._lease() for _ in range(self.n_workers)]
-        scheduler = _WarmScheduler(
-            pool=self,
-            workers=workers,
-            timeout_s=timeout_s,
-            max_attempts=max(1, max_attempts),
-            backoff_base_s=backoff_base_s,
-            backoff_max_s=backoff_max_s,
-            stats=stats,
-        )
-        try:
-            scheduler.run(to_run, on_success, on_quarantine)
-        finally:
-            for i, worker in enumerate(scheduler.workers):
-                if worker is None:
-                    continue
-                if scheduler.states[i].slots:
-                    # Aborted mid-flight (e.g. raise_on_error): the pipe
-                    # still carries unread results -- never return a
-                    # dirty worker to the idle set.
-                    _, replacement = self._recycle(worker)
-                    self._release(replacement)
-                else:
-                    self._release(worker)
-
-
-class _InFlight:
-    """Tasks queued on one worker: a FIFO whose head is executing."""
-
-    def __init__(self) -> None:
-        self.slots: deque = deque()     # of runner._Pending
-        self.head_started: float = 0.0  # when the head began executing
-
-
-class _WarmScheduler:
-    """Single-threaded micro-batching dispatcher over warm workers.
-
-    Workers are addressed by list index; recycling swaps the handle at
-    an index in place (``None`` if the closed pool refuses a
-    replacement), so per-worker in-flight state survives a respawn.
-    """
-
-    def __init__(
-        self,
-        pool: WarmPool,
-        workers: List[_WorkerHandle],
-        timeout_s: Optional[float],
-        max_attempts: int,
-        backoff_base_s: float,
-        backoff_max_s: float,
-        stats,
-    ) -> None:
-        self.pool = pool
-        self.workers: List[Optional[_WorkerHandle]] = list(workers)
-        self.states = [_InFlight() for _ in workers]
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.stats = stats
-
-    def run(self, to_run, on_success, on_quarantine) -> None:
-        pending = deque(_Pending(index, task) for index, task in to_run)
-        while pending or any(state.slots for state in self.states):
-            if all(worker is None for worker in self.workers):
-                raise RuntimeError("warm pool closed during campaign")
-            self._dispatch(pending)
-            self._wait(pending)
-            self._harvest(pending, on_success, on_quarantine)
-            self._enforce_deadlines(pending, on_quarantine)
-
-    # -- scheduling ----------------------------------------------------
-
-    def _dispatch(self, pending: deque) -> None:
-        now = time.monotonic()
-        bound = self.pool.max_tasks_per_worker
-        for i, worker in enumerate(self.workers):
-            if worker is None or self.states[i].slots or not pending:
-                continue
-            room = self.pool.batch_size
-            if bound is not None:
-                if worker.n_dispatched >= bound:
-                    self._replace(i)
-                    worker = self.workers[i]
-                    if worker is None:
-                        continue
-                room = min(room, bound - worker.n_dispatched)
-            batch: list = []
-            for _ in range(len(pending)):
-                if len(batch) >= room:
-                    break
-                slot = pending.popleft()
-                if slot.not_before > now:
-                    pending.append(slot)
-                    continue
-                batch.append(slot)
-            if not batch:
-                continue
+        cancelled = False
+        while not recycled.done():
             try:
-                worker.dispatch([slot.task for slot in batch])
-            except (BrokenPipeError, OSError):
-                for slot in reversed(batch):
-                    pending.appendleft(slot)
-                self._replace(i)
-                continue
-            state = self.states[i]
-            state.slots.extend(batch)
-            state.head_started = now
-
-    def _wait(self, pending: deque) -> None:
-        now = time.monotonic()
-        horizon = 0.2
-        if self.timeout_s is not None:
-            for i, worker in enumerate(self.workers):
-                if worker is not None and self.states[i].slots:
-                    deadline = self.states[i].head_started + self.timeout_s
-                    horizon = min(horizon, deadline - now)
-        for slot in pending:
-            if slot.not_before > now:
-                horizon = min(horizon, slot.not_before - now)
-        horizon = max(0.005, horizon)
-        conns = [
-            worker.conn
-            for i, worker in enumerate(self.workers)
-            if worker is not None and self.states[i].slots
-        ]
-        if conns:
-            multiprocessing.connection.wait(conns, timeout=horizon)
-        elif pending:
-            time.sleep(horizon)
-
-    # -- harvesting ----------------------------------------------------
-
-    def _harvest(self, pending, on_success, on_quarantine) -> None:
-        for i in range(len(self.workers)):
-            while self.workers[i] is not None and self.states[i].slots:
-                worker = self.workers[i]
-                state = self.states[i]
-                try:
-                    if not worker.conn.poll():
-                        break
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    # Worker died under the head task: crash the head,
-                    # migrate the rest, respawn.
-                    elapsed = time.monotonic() - state.head_started
-                    exitcode = self._replace(i)
-                    self.stats.n_crashes += 1
-                    self._fail_head(
-                        i,
-                        _crash_failure(
-                            state.slots[0].attempt, exitcode, elapsed
-                        ),
-                        pending, on_quarantine, requeue_rest=True,
-                    )
-                    break
-                kind, payload = _classify_message(
-                    message,
-                    state.slots[0].attempt,
-                    self.timeout_s,
-                    time.monotonic() - state.head_started,
-                )
-                if kind == "ok":
-                    slot = state.slots.popleft()
-                    state.head_started = time.monotonic()
-                    self.pool.n_tasks_done += 1
-                    result, task_elapsed = payload
-                    on_success(slot.index, result, task_elapsed)
-                else:
-                    if payload.outcome == "timeout":
-                        self.stats.n_timeouts += 1
-                    self._fail_head(i, payload, pending, on_quarantine)
-
-    def _enforce_deadlines(self, pending, on_quarantine) -> None:
-        if self.timeout_s is None:
-            return
-        now = time.monotonic()
-        for i, worker in enumerate(self.workers):
-            state = self.states[i]
-            if worker is None or not state.slots:
-                continue
-            elapsed = now - state.head_started
-            if elapsed < self.timeout_s:
-                continue
-            self._replace(i)
-            self.stats.n_timeouts += 1
-            self._fail_head(
-                i,
-                _timeout_failure(
-                    state.slots[0].attempt, self.timeout_s, elapsed
-                ),
-                pending, on_quarantine, requeue_rest=True,
-            )
-
-    def _fail_head(
-        self, i, failure, pending, on_quarantine, requeue_rest=False
-    ) -> None:
-        """Charge the head task one failed attempt: requeue or quarantine."""
-        state = self.states[i]
-        slot = state.slots.popleft()
-        if requeue_rest:
-            # Tasks queued behind the dead head never ran: migrate them
-            # back to pending without charging an attempt.
-            while state.slots:
-                pending.appendleft(state.slots.pop())
-        state.head_started = time.monotonic()
-        slot.failures.append(failure)
-        if slot.attempt < self.max_attempts:
-            self.stats.n_retries += 1
-            delay = _backoff_delay(
-                slot.task, slot.attempt, self.backoff_base_s,
-                self.backoff_max_s,
-            )
-            slot.attempt += 1
-            slot.not_before = time.monotonic() + delay
-            pending.append(slot)
-        else:
-            on_quarantine(slot)
-
-    def _replace(self, i: int) -> Optional[int]:
-        """Recycle worker ``i`` in place; returns the old exit code."""
-        worker = self.workers[i]
-        exitcode, replacement = self.pool._recycle(worker)
-        self.workers[i] = replacement
+                await asyncio.shield(recycled)
+            except asyncio.CancelledError:
+                cancelled = True
+        exitcode, replacement = recycled.result()
+        self.n_recycled += 1
+        if replacement is not None:
+            self.n_spawned += 1
+        self._give(replacement)
+        if cancelled:
+            raise asyncio.CancelledError
         return exitcode

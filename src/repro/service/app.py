@@ -206,10 +206,10 @@ class ServiceApp:
 
         for task in self.pool._tasks:
             task.cancel()
+        if self.pool.warm is not None:
+            self.pool.warm.close()  # in the same step: no replacement forks
         await asyncio.gather(*self.pool._tasks, return_exceptions=True)
         self.pool._tasks = []
-        if self.pool.warm is not None:
-            self.pool.warm.close()
         if self.journal is not None:
             self.journal.abandon()
 

@@ -86,7 +86,9 @@ class WorkerPool:
         1. Pause dispatch so nothing new starts.
         2. Give in-flight jobs up to ``grace_s`` (default: the app's
            ``shutdown_grace_s``) to reach a terminal state.
-        3. Cancel the worker tasks and close the warm pool.
+        3. Cancel the worker tasks and close the warm pool in the
+           same loop step, so each cancelled lease kills its worker
+           without forking a replacement.
         4. Fail every job still queued or in flight with a terminal
            ``shutdown`` failure, flushing the ``failed`` SSE event to
            any subscriber.
@@ -108,10 +110,12 @@ class WorkerPool:
                 pass
         for task in self._tasks:
             task.cancel()
+        if self.warm is not None:
+            # Before the cancelled leases run: each kills its worker and
+            # forks no replacement.
+            self.warm.close()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        if self.warm is not None:
-            self.warm.close()
         # Flush still-queued jobs: they never reached a worker loop, so
         # terminal accounting happens here.
         while True:

@@ -1,5 +1,7 @@
 """Tests for the campaign runner: caching, resume, worker invariance."""
 
+import asyncio
+
 import pytest
 
 from repro.campaign import (
@@ -134,6 +136,14 @@ class TestParallelRunner:
         assert set(ResultCache(serial_dir).keys()) == set(
             ResultCache(parallel_dir).keys()
         )
+
+    def test_pool_campaign_from_inside_an_event_loop(self):
+        """A coroutine (a notebook cell, say) can run a pool campaign."""
+        async def body():
+            return run_campaign(_tasks(3), n_workers=2)
+
+        result = asyncio.run(body())
+        assert [r["value"] for r in result.results] == [0, 1, 4]
 
     def test_stats_worker_utilization_bounded(self):
         stats = run_campaign(_tasks(6), n_workers=2).stats

@@ -12,14 +12,9 @@ records are bit-identical to the serial in-process path's.
 from __future__ import annotations
 
 import asyncio
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.campaign import CampaignTask, WarmPool, run_campaign
 
 
@@ -113,6 +108,21 @@ class TestRecycling:
         finally:
             pool.close()
 
+    def test_tasks_batched_behind_a_hung_head_are_not_charged(self):
+        """One worker gets all four tasks in one batch; the hung head is
+        charged its timeout, the three behind it rerun uncharged."""
+        with WarmPool(n_workers=1) as pool:
+            tasks = [CampaignTask("chaos_hang", {"sleep_s": 60.0})] + \
+                [_ok(i) for i in range(3)]
+            result = run_campaign(tasks, timeout_s=0.5, warm_pool=pool)
+            assert result.results[1:] == [
+                {"value": i * i, "seed": 0} for i in range(3)
+            ]
+            (failure,) = result.failures
+            assert [a.outcome for a in failure.attempts] == ["timeout"]
+            assert result.stats.n_retries == 0
+            assert pool.n_recycled == 1
+
     def test_stubborn_worker_escalates_to_sigkill(self):
         """A worker ignoring SIGTERM must still be recycled at deadline."""
         pool = WarmPool(n_workers=1).start()
@@ -169,14 +179,17 @@ class TestPoolReuse:
             assert pool.n_recycled == 0
             assert pool.n_tasks_done == 12
 
-    def test_campaign_honours_max_tasks_per_worker(self):
-        tasks = [_ok(i) for i in range(8)]
-        with WarmPool(n_workers=1, max_tasks_per_worker=1) as pool:
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_campaign_honours_max_tasks_per_worker(self, bound):
+        # 9 tasks: a bound of 3 caps each batch of 4 at 3, so three
+        # workers reach it (an uncapped batch would recycle only two).
+        tasks = [_ok(i) for i in range(9)]
+        with WarmPool(n_workers=1, max_tasks_per_worker=bound) as pool:
             result = run_campaign(tasks, warm_pool=pool)
-            # One fresh worker per task, plus the replacement forked
-            # when the last one is released.
-            assert pool.n_spawned == 1 + 8
-            assert pool.n_recycled == 8
+            # A fresh worker per `bound` tasks, plus the replacement
+            # forked when the last one is released.
+            assert pool.n_spawned == 1 + 9 // bound
+            assert pool.n_recycled == 9 // bound
         assert result.results == run_campaign(tasks).results
 
     def test_execute_front_end(self):
@@ -198,7 +211,7 @@ class TestPoolReuse:
         pool = WarmPool(n_workers=1).start()
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool._lease()
+            run_campaign([_ok(1)], warm_pool=pool)
 
 
 class TestAsyncLease:
@@ -221,8 +234,10 @@ class TestAsyncLease:
             result, failure = asyncio.run(body(pool))
             assert failure is None
             assert result == {"value": 49, "seed": 0}
-            assert pool._idle.qsize() == 1  # the pool kept its one worker
             assert pool.n_recycled == 1
+            # The pool kept its one worker: more work forks nothing.
+            assert run_campaign([_ok(1), _ok(2)], warm_pool=pool).ok
+            assert pool.n_spawned == 2
 
     def test_recycle_runs_off_the_loop(self):
         """A SIGTERM-deaf worker takes the kill grace period to reap;
@@ -288,23 +303,9 @@ class TestAsyncLease:
         assert failure.attempts[0].message == (
             "warm pool closed during execution"
         )
-        assert pool._idle.empty()
-
-    def test_campaigns_never_import_asyncio(self):
-        code = (
-            "import sys\n"
-            "from repro.campaign import CampaignTask, run_campaign\n"
-            "tasks = [CampaignTask('chaos_ok', {'x': i}) for i in range(6)]\n"
-            "assert run_campaign(tasks, n_workers=2).ok\n"
-            "assert 'asyncio' not in sys.modules\n"
+        # No idle worker is left to serve, and none is forked.
+        _, failure = asyncio.run(pool.execute(_ok(4)))
+        assert failure.attempts[0].message == (
+            "warm pool closed during execution"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert pool.n_spawned == 1

@@ -167,6 +167,50 @@ class TestDrainingShutdown:
 
         asyncio.run(body())
 
+    @staticmethod
+    async def _two_wedged_jobs(app):
+        client = InProcessClient(app)
+        wedged = []
+        for seed in range(2):
+            status, accepted = await client.post_job({
+                "kind": "chaos_hang", "params": {"sleep_s": 60.0},
+                "seed": seed, "timeout_s": 30.0,
+            })
+            assert status == 202
+            wedged.append(app.jobs[accepted["job_id"]])
+        while any(job.state != "running" for job in wedged):
+            await asyncio.sleep(0.01)
+        return client, wedged
+
+    def test_stop_forks_no_replacement_workers(self):
+        """Leases cancelled by the shutdown kill their workers; the pool
+        closes in the same step, so none forks a replacement."""
+        async def body():
+            app = ServiceApp(ServiceConfig(
+                n_workers=2, allow_chaos=True, shutdown_grace_s=0.0,
+            ))
+            await app.start()
+            client, wedged = await self._two_wedged_jobs(app)
+            await app.stop()
+            assert app.pool.warm.n_spawned == 2
+            for job in wedged:
+                assert job.state == "failed"
+                assert job.failure["error"] == "shutdown"
+                events = await client.sse_events(job.job_id, timeout=5.0)
+                assert events[-1]["event"] == "failed"
+
+        asyncio.run(body())
+
+    def test_abandon_forks_no_replacement_workers(self):
+        async def body():
+            app = ServiceApp(ServiceConfig(n_workers=2, allow_chaos=True))
+            await app.start()
+            await self._two_wedged_jobs(app)
+            await app.abandon()
+            assert app.pool.warm.n_spawned == 2
+
+        asyncio.run(body())
+
     def test_stop_is_idempotent(self):
         async def body():
             app = ServiceApp(ServiceConfig(n_workers=1))
