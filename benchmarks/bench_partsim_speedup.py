@@ -1,8 +1,8 @@
 """Partitioned-SIMD datapath vs the LUT fast paths, Fig. 6 / Fig. 8 kernels.
 
 Times the two bulk kernels the partitioned evaluator was built for
-under both engines (``eval_mode="partsim"`` vs the default ``"auto"``
-fast paths), verifies the results are bit-identical, and records the
+under both engines (the packed kernels vs the default ``"auto"`` fast
+paths), verifies the results are bit-identical, and records the
 speedups under ``benchmarks/results/partsim_speedup.txt`` plus the
 machine-readable ``BENCH_partsim_speedup.json`` that CI's threshold
 check consumes.
@@ -82,17 +82,15 @@ def _fig8_sad_surface_kernel():
     rng = np.random.default_rng(1998)
     cur = rng.integers(0, 256, (FRAME, FRAME))
     ref = np.clip(cur + rng.integers(-12, 13, cur.shape), 0, 255)
-    n_pixels = BLOCK * BLOCK
-    partsim = SADAccelerator(n_pixels, eval_mode="partsim")
-    auto = SADAccelerator(n_pixels)
+    accel = SADAccelerator(BLOCK * BLOCK)
     # Warm-up pass builds the absdiff LUTs and packing scratch.
-    sad_surface(partsim, cur[:32, :32], ref[:32, :32], BLOCK, search=2)
-    sad_surface_reference(auto, cur[:32, :32], ref[:32, :32], BLOCK, search=2)
+    sad_surface(accel, cur[:32, :32], ref[:32, :32], BLOCK, search=2)
+    sad_surface_reference(accel, cur[:32, :32], ref[:32, :32], BLOCK, search=2)
     s_part, partsim_s = _timed(
-        lambda: sad_surface(partsim, cur, ref, BLOCK, search=SEARCH)
+        lambda: sad_surface(accel, cur, ref, BLOCK, search=SEARCH)
     )
     s_auto, auto_s = _timed(
-        lambda: sad_surface_reference(auto, cur, ref, BLOCK, search=SEARCH)
+        lambda: sad_surface_reference(accel, cur, ref, BLOCK, search=SEARCH)
     )
     identical = bool(np.array_equal(s_auto, s_part))
     return _row("fig8_sad_surface_256", auto_s, partsim_s, identical)

@@ -13,7 +13,8 @@ left shifts and the 8 partial terms are reduced with a (possibly
 approximate) adder tree, followed by the ``>> 4`` normalization.  The
 only arithmetic error source is therefore the approximate adder cell --
 matching the paper's "same adder and kernel" setup where quality varies
-with image content only.
+with image content only.  The tree adders run the ``"auto"`` fast path
+or the ``"loop"`` reference (``eval_mode``).
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ class LowPassFilterAccelerator:
         approx_lsbs: Number of approximated LSBs in each tree adder.
         pixel_bits: Input pixel width (8 for grayscale images).
         eval_mode: Evaluation engine forwarded to every tree adder
-            (``"auto"``/``"lut"``/``"loop"``, see
-            :class:`~repro.adders.ripple.ApproximateRippleAdder`); all
-            modes are bit-identical, which ``repro verify`` checks.
+            (``"auto"`` or ``"loop"``, see
+            :class:`~repro.adders.ripple.ApproximateRippleAdder`); both
+            are bit-identical, which ``repro verify`` checks.
 
     Example:
         >>> acc = LowPassFilterAccelerator(fa="ApxFA1", approx_lsbs=0)

@@ -9,6 +9,12 @@ through a datapath of subtractors, absolute-value stages, and an adder
 tree.  Approximation enters through the full-adder cell used in the
 subtractors/adders and the number of approximated LSBs -- giving the
 ``ApxSAD1 .. ApxSAD5`` variants of Fig. 8 (one per Table III cell).
+
+Two bit-identical engines: ``eval_mode="auto"`` collapses the
+``|a - b|`` stage and each tree level into table gathers, and
+``"loop"`` ripples every cell as the verifier's reference.  The
+full-search surface of exact accelerators has a packed kernel,
+:func:`repro.datapath.partsim.sad_surface`.
 """
 
 from __future__ import annotations
@@ -105,17 +111,8 @@ class SADAccelerator:
         approx_lsbs: Number of approximated LSBs in each arithmetic
             stage (0 = fully accurate accelerator).
         eval_mode: Evaluation engine for every subtractor and tree adder
-            (``"auto"``/``"lut"`` = segment/LUT fast path, ``"loop"`` =
-            legacy cell-level reference; bit-identical results).
-            ``"partsim"`` runs the whole reduction tree on the
-            partitioned-SIMD evaluator: pixels are loaded in
-            bit-reversed order so every tree level becomes one
-            word-half fold over packed partition words, with
-            approximate LSBs rippled by
-            :func:`repro.datapath.partsim.packed_cell_ripple` on all
-            packed blocks at once.  Requires a power-of-two
-            ``n_pixels`` and ``pixel_bits <= 8``; bit-identical to the
-            other engines.
+            (``"auto"`` = fused-table fast path, ``"loop"`` = cell-level
+            reference; bit-identical results).
 
     Example:
         >>> acc = SADAccelerator(n_pixels=4)
@@ -140,28 +137,11 @@ class SADAccelerator:
         self.fa = fa
         self.approx_lsbs = approx_lsbs
         self.eval_mode = eval_mode
-        self._partsim_layout = None
-        if eval_mode == "partsim":
-            if n_pixels & (n_pixels - 1):
-                raise ValueError(
-                    "partsim SAD needs a power-of-two n_pixels (the tree "
-                    f"folds word halves), got {n_pixels}"
-                )
-            if pixel_bits > _ABSDIFF_LUT_MAX_PIXEL_BITS:
-                raise ValueError(
-                    "partsim SAD needs the pairwise |a-b| table, so "
-                    f"pixel_bits <= {_ABSDIFF_LUT_MAX_PIXEL_BITS} "
-                    f"(got {pixel_bits})"
-                )
-        # The packed tree evaluates the per-stage cells itself; the
-        # member adders only provide truth tables / fused LUTs and run
-        # in "auto" for table construction.
-        inner_mode = "auto" if eval_mode == "partsim" else eval_mode
         self._sub = ApproximateRippleAdder(
             pixel_bits,
             approx_fa=fa,
             num_approx_lsbs=min(approx_lsbs, pixel_bits),
-            eval_mode=inner_mode,
+            eval_mode=eval_mode,
         )
         # Tree adders: one width per reduction level.  For n_pixels that
         # are not powers of two the odd element of a level is *wired*
@@ -180,12 +160,12 @@ class SADAccelerator:
                     width,
                     approx_fa=fa,
                     num_approx_lsbs=min(approx_lsbs, width),
-                    eval_mode=inner_mode,
+                    eval_mode=eval_mode,
                 )
             )
             remaining = (remaining + 1) // 2
         self._check_tree_widths()
-        # Fused-LUT datapath (fast engines only): the per-pixel |a - b|
+        # Fused-LUT datapath ("auto" only): the per-pixel |a - b|
         # stage and each tree-level add each collapse into a single
         # int64 gather.  Bit-identical by construction -- every table is
         # filled by evaluating the corresponding ripple-adder stage (the
@@ -271,67 +251,6 @@ class SADAccelerator:
         b_lo = b & ((1 << adder.num_approx_lsbs) - 1)
         return fused[(a << adder.num_approx_lsbs) | b_lo] + (b - b_lo)
 
-    def _packed_tree_add(
-        self, level: int, layout, wa: np.ndarray, wb: np.ndarray
-    ) -> np.ndarray:
-        """One reduction level on packed partition words.
-
-        Same trusted-operand contract as :meth:`_tree_add`, evaluated
-        on every packed field at once: the approximated LSBs ripple the
-        level's cell truth table via ``packed_cell_ripple`` and the
-        accurate MSBs are a native word add (guard bits absorb the
-        per-field carries).
-        """
-        from ..datapath.partsim import packed_cell_ripple
-
-        adder = self._tree[level]
-        s = adder.num_approx_lsbs
-        if s == 0:
-            return wa + wb
-        sum_lo, carry = packed_cell_ripple(
-            layout, wa, wb, np.uint64(0), adder.approx_fa.table, 0, s
-        )
-        mask_hi = layout.spread((1 << (adder.width - s)) - 1)
-        hi = ((wa >> s) & mask_hi) + ((wb >> s) & mask_hi) + carry
-        return (hi << s) | sum_lo
-
-    def _sad_partsim(self, values: np.ndarray) -> np.ndarray:
-        """Packed reduction of per-pixel ``|a - b|`` values.
-
-        Loading the leaves in bit-reversed order turns the adjacent
-        even/odd pairing of :meth:`sad` into "add the first half to the
-        second half" at *every* level, with the even operand always in
-        the first half -- so while more than one word remains, a level
-        is one word-half fold.  The in-word tail (the last
-        ``fields_per_word`` partial sums) finishes through the scalar
-        trusted-path :meth:`_tree_add`, keeping cell order and operand
-        roles bit-identical to the reference tree.
-        """
-        from ..datapath.partsim import (
-            PartitionLayout,
-            bit_reverse_permutation,
-        )
-
-        if not self._tree:
-            return values[..., 0]
-        if self._partsim_layout is None:
-            self._partsim_layout = PartitionLayout(self._tree[-1].width + 1)
-        layout = self._partsim_layout
-        words = layout.pack(values[..., bit_reverse_permutation(self.n_pixels)])
-        level = 0
-        while words.shape[-1] > 1:
-            half = words.shape[-1] // 2
-            words = self._packed_tree_add(
-                level, layout, words[..., :half], words[..., half:]
-            )
-            level += 1
-        vals = layout.unpack(words, min(self.n_pixels, layout.fields_per_word))
-        while vals.shape[-1] > 1:
-            half = vals.shape[-1] // 2
-            vals = self._tree_add(level, vals[..., :half], vals[..., half:])
-            level += 1
-        return vals[..., 0]
-
     def sad(self, a, b) -> np.ndarray:
         """SAD over the last axis (must have length ``n_pixels``).
 
@@ -346,8 +265,6 @@ class SADAccelerator:
                 f"{a.shape[-1]} and {b.shape[-1]}"
             )
         values = self.absolute_differences(a, b)
-        if self.eval_mode == "partsim":
-            return self._sad_partsim(values)
         level = 0
         while values.shape[-1] > 1:
             n = values.shape[-1]

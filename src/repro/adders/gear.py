@@ -19,6 +19,10 @@ detection/correction circuitry of the paper (Fig. 3, blue) detects
 ``Cout(sub-adder i-1) = 1 AND prediction bits propagate`` and re-executes
 the offending sub-adder with an injected carry; iterated to fixpoint this
 recovers the exact sum.
+
+:class:`GeArAdder` has one engine, the vectorized int64 window
+equation; the verifier's references are an independent scalar
+re-implementation and, for ``R = 1``, the speculative prefix adder.
 """
 
 from __future__ import annotations
@@ -28,14 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["GeArConfig", "GeArAdder", "GEAR_EVAL_MODES"]
-
-#: Evaluation engines for :class:`GeArAdder.add`: ``"auto"``/``"window"``
-#: is the vectorized int64 window equation; ``"partsim"`` packs several
-#: additions per uint64 word and evaluates every sub-adder window as a
-#: masked word operation (:mod:`repro.datapath.partsim`).  Both are
-#: bit-identical (proven via the ``gear`` oracle family).
-GEAR_EVAL_MODES = ("auto", "window", "partsim")
+__all__ = ["GeArConfig", "GeArAdder"]
 
 
 def _as_int_array(x) -> np.ndarray:
@@ -129,15 +126,8 @@ class GeArAdder:
         256
     """
 
-    def __init__(self, config: GeArConfig, eval_mode: str = "auto") -> None:
-        if eval_mode not in GEAR_EVAL_MODES:
-            raise ValueError(
-                f"eval_mode must be one of {GEAR_EVAL_MODES}, "
-                f"got {eval_mode!r}"
-            )
+    def __init__(self, config: GeArConfig) -> None:
         self.config = config
-        self.eval_mode = eval_mode
-        self._partsim_layout = None
 
     @property
     def name(self) -> str:
@@ -178,45 +168,7 @@ class GeArAdder:
         Operands must be non-negative and are masked to ``N`` bits.
         """
         a, b = self._operands(a, b)
-        if self.eval_mode == "partsim":
-            return self._add_partsim(a, b)
-        cfg = self.config
-        sums = self._window_sums(a, b)
-        mask_l = (1 << cfg.l) - 1
-        mask_r = (1 << cfg.r) - 1
-        result = sums[0] & mask_l
-        for i in range(1, cfg.k):
-            start = i * cfg.r
-            result = result | (((sums[i] >> cfg.p) & mask_r) << (start + cfg.p))
-        # Final carry comes from the last sub-adder's window overflow.
-        result = result | (((sums[-1] >> cfg.l) & 1) << cfg.n)
-        return result
-
-    def _add_partsim(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Packed evaluation: all sub-adder windows as word operations.
-
-        Several operand pairs share one uint64 word; each sub-adder
-        window is extracted with a shift plus a partition mask and
-        summed with its carries confined to the field -- the dropped
-        inter-block carry of the GeAr approximation is exactly the
-        partition point between windows.
-        """
-        from ..datapath.partsim import PartitionLayout, packed_window_add
-
-        cfg = self.config
-        if self._partsim_layout is None:
-            self._partsim_layout = PartitionLayout(cfg.n + 1)
-        layout = self._partsim_layout
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        wa = layout.pack(np.broadcast_to(a, shape).ravel())
-        wb = layout.pack(np.broadcast_to(b, shape).ravel())
-        windows = [
-            (start, width, 0 if i == 0 else cfg.p, width if i == 0 else cfg.r)
-            for i, (start, width) in enumerate(cfg.sub_adder_windows())
-        ]
-        out = packed_window_add(layout, wa, wb, windows, cfg.n)
-        return layout.unpack(out, count).reshape(shape)
+        return self._assemble(self._window_sums(a, b))
 
     # ------------------------------------------------------------------
     # error detection and correction
@@ -324,6 +276,7 @@ class GeArAdder:
         return self._assemble(sums), iterations
 
     def _assemble(self, sums: List[np.ndarray]) -> np.ndarray:
+        """The result bits each sub-adder keeps, plus the final carry."""
         cfg = self.config
         mask_l = (1 << cfg.l) - 1
         mask_r = (1 << cfg.r) - 1

@@ -20,6 +20,10 @@ Segment ``i`` errs exactly when the true carry into bit ``t_i`` is 1 and
 all ``p_i`` prediction positions propagate -- the same event structure as
 GeAr, which is what lets ``repro.errors.analytic`` compute the exact
 error PMF for both families with one DP.
+
+:class:`HeteroGeArAdder` has one engine, the vectorized window
+equation; the verifier's reference is an independent scalar
+re-implementation.
 """
 
 from __future__ import annotations
@@ -240,19 +244,8 @@ class HeteroGeArAdder:
         7
     """
 
-    def __init__(
-        self, config: HeteroGeArConfig, eval_mode: str = "auto"
-    ) -> None:
-        from .gear import GEAR_EVAL_MODES
-
-        if eval_mode not in GEAR_EVAL_MODES:
-            raise ValueError(
-                f"eval_mode must be one of {GEAR_EVAL_MODES}, "
-                f"got {eval_mode!r}"
-            )
+    def __init__(self, config: HeteroGeArConfig) -> None:
         self.config = config
-        self.eval_mode = eval_mode
-        self._partsim_layout = None
 
     @property
     def name(self) -> str:
@@ -278,8 +271,6 @@ class HeteroGeArAdder:
         and are masked to ``N`` bits.
         """
         a, b = self._operands(a, b)
-        if self.eval_mode == "partsim":
-            return self._add_partsim(a, b)
         cfg = self.config
         result = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
         last_sum, last_width = None, 0
@@ -293,34 +284,6 @@ class HeteroGeArAdder:
             last_sum, last_width = window_sum, width
         result = result | (((last_sum >> last_width) & 1) << cfg.n)
         return result
-
-    def _add_partsim(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Packed evaluation of the heterogeneous window equation.
-
-        Identical windowing to :meth:`add`, but each per-segment window
-        sum runs on every packed field of a uint64 word at once -- the
-        per-segment carry cuts are partition-mask edits, shared with the
-        GeAr path through
-        :func:`repro.datapath.partsim.packed_window_add`.
-        """
-        from ..datapath.partsim import PartitionLayout, packed_window_add
-
-        cfg = self.config
-        if self._partsim_layout is None:
-            self._partsim_layout = PartitionLayout(cfg.n + 1)
-        layout = self._partsim_layout
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        wa = layout.pack(np.broadcast_to(a, shape).ravel())
-        wb = layout.pack(np.broadcast_to(b, shape).ravel())
-        windows = [
-            (start, width, p, r)
-            for (r, p), (start, width) in zip(
-                cfg.segments, cfg.sub_adder_windows()
-            )
-        ]
-        out = packed_window_add(layout, wa, wb, windows, cfg.n)
-        return layout.unpack(out, count).reshape(shape)
 
     # ------------------------------------------------------------------
     # physical models

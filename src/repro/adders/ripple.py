@@ -9,9 +9,9 @@ accelerator's ``|a - b|`` datapath).
 
 Two bit-identical evaluation engines are provided (``eval_mode``):
 
-* ``"loop"`` -- the legacy reference: a Python loop over every bit
-  position with per-cell truth-table lookups;
-* ``"lut"`` / ``"auto"`` -- the fast path of :mod:`.fastpath`: the
+* ``"loop"`` -- the reference: a Python loop over every bit position
+  with per-cell truth-table lookups;
+* ``"auto"`` -- the production fast path of :mod:`.fastpath`: the
   approximate LSB segment is collapsed into one precomputed lookup
   table and the accurate MSB segment into a native integer add, so a
   whole batched ``add`` costs two NumPy gathers and one vector add.
@@ -24,18 +24,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .fastpath import (
-    AUTO_LUT_MAX_BITS,
-    LUT_MAX_BITS,
-    approx_segment_lut,
-    pack_segment_index,
-)
+from .fastpath import AUTO_LUT_MAX_BITS, approx_segment_lut, pack_segment_index
 from .fulladder import FULL_ADDERS, FullAdderSpec, full_adder
 
 __all__ = ["ApproximateRippleAdder", "ExactAdder", "EVAL_MODES", "MAX_WIDTH"]
 
 #: Recognized evaluation engines for :class:`ApproximateRippleAdder`.
-EVAL_MODES = ("auto", "lut", "loop", "partsim")
+EVAL_MODES = ("auto", "loop")
 
 #: Widest supported adder.  Every engine accumulates into signed int64
 #: (the scalar reference contract), whose 63 value bits must hold the
@@ -120,10 +115,8 @@ class ApproximateRippleAdder:
         eval_mode: Evaluation engine -- ``"auto"`` (default) uses the
             segment/LUT fast path, compiling a LUT for approximate
             segments up to ``AUTO_LUT_MAX_BITS`` bits and bit-looping
-            only over wider segments; ``"lut"`` forces LUT compilation
-            (up to ``LUT_MAX_BITS`` bits, else raises); ``"loop"`` is
-            the legacy full bit-loop reference.  All modes produce
-            bit-identical results.
+            only over wider segments; ``"loop"`` is the full bit-loop
+            reference.  Both produce bit-identical results.
 
     Example:
         >>> adder = ApproximateRippleAdder(8, approx_fa="ApxFA1",
@@ -170,18 +163,8 @@ class ApproximateRippleAdder:
             tuple(self.accurate_fa.table) == tuple(FULL_ADDERS["AccuFA"].table)
         )
         self._seg_lut: np.ndarray | None = None
-        self._partsim_layout = None
-        if eval_mode in ("auto", "lut") and num_approx_lsbs > 0:
-            limit = LUT_MAX_BITS if eval_mode == "lut" else AUTO_LUT_MAX_BITS
-            if num_approx_lsbs <= limit:
-                self._seg_lut = approx_segment_lut(
-                    self.approx_fa, num_approx_lsbs
-                )
-            elif eval_mode == "lut":
-                raise ValueError(
-                    f"eval_mode='lut' supports approximate segments up to "
-                    f"{LUT_MAX_BITS} bits, got {num_approx_lsbs}"
-                )
+        if eval_mode == "auto" and 0 < num_approx_lsbs <= AUTO_LUT_MAX_BITS:
+            self._seg_lut = approx_segment_lut(self.approx_fa, num_approx_lsbs)
 
     @property
     def name(self) -> str:
@@ -213,12 +196,10 @@ class ApproximateRippleAdder:
         cin = _as_carry_in(cin)
         if self.eval_mode == "loop":
             return self._add_loop(a, b, cin)
-        if self.eval_mode == "partsim":
-            return self._add_partsim(a, b, cin)
         return self._add_fast(a, b, cin)
 
     def _add_loop(self, a: np.ndarray, b: np.ndarray, cin: int) -> np.ndarray:
-        """Legacy reference: per-cell ripple over every bit position."""
+        """Reference: per-cell ripple over every bit position."""
         carry = np.broadcast_to(
             np.asarray(cin, dtype=np.int64), np.broadcast_shapes(a.shape, b.shape)
         ).copy()
@@ -302,49 +283,6 @@ class ApproximateRippleAdder:
             hi, carry = self._ripple_segment(a, b, carry, s, w)
             total = hi | sum_lo | (carry << w)
         return np.asarray(total, dtype=np.int64)
-
-    def _add_partsim(
-        self, a: np.ndarray, b: np.ndarray, cin: int
-    ) -> np.ndarray:
-        """Partitioned-SIMD evaluation: several additions per uint64 word.
-
-        The operands are packed into the fields of a
-        :class:`~repro.datapath.partsim.PartitionLayout`; the
-        approximate LSB segment ripples through the packed masked-cell
-        evaluator (all fields at once per bit position) and a native
-        accurate MSB segment is one guarded word addition.  Bit-identical
-        to the other engines -- the segment evaluator applies the same
-        truth table in the same cell order.
-        """
-        from ..datapath.partsim import PartitionLayout, packed_cell_ripple
-
-        if self._partsim_layout is None:
-            self._partsim_layout = PartitionLayout(self.width + 1)
-        layout = self._partsim_layout
-        mask = (1 << self.width) - 1
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        aw = layout.pack(np.broadcast_to(a & mask, shape).ravel())
-        bw = layout.pack(np.broadcast_to(b & mask, shape).ravel())
-        carry = layout.base if cin else np.uint64(0)
-        s, w = self.num_approx_lsbs, self.width
-        sum_lo = np.uint64(0)
-        if s:
-            sum_lo, carry = packed_cell_ripple(
-                layout, aw, bw, carry, self.approx_fa.table, 0, s
-            )
-        if s == w:
-            out = sum_lo | (carry << w)
-        elif self._msb_native:
-            mask_hi = layout.spread((1 << (w - s)) - 1)
-            hi = ((aw >> s) & mask_hi) + ((bw >> s) & mask_hi) + carry
-            out = (hi << s) | sum_lo
-        else:
-            sum_hi, carry = packed_cell_ripple(
-                layout, aw, bw, carry, self.accurate_fa.table, s, w
-            )
-            out = sum_lo | sum_hi | (carry << w)
-        return layout.unpack(out, count).reshape(shape)
 
     def add_modular(self, a, b, cin: int = 0) -> np.ndarray:
         """Approximate addition truncated to ``width`` bits (carry dropped)."""

@@ -131,24 +131,18 @@ def _analytic(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
     ``params`` names the configuration either homogeneously
     (``n``/``r``/``p``) or heterogeneously (``segments``: a list of
-    ``[r, p]`` pairs or a ``"r:p,r:p,..."`` string).  The record is
+    ``[r, p]`` pairs or a ``"r:p,r:p,..."`` string), parsed by
+    :func:`repro.errors.analytic.config_from_params`.  The record is
     computed by the PMF-convolution engine
     (:func:`repro.errors.analytic_summary`) -- no sampling, so ``seed``
     is part of the cache key but never consumed.
     """
-    from ..adders.hetero import HeteroGeArAdder, HeteroGeArConfig
-    from ..errors.analytic import analytic_summary
+    from ..adders.hetero import HeteroGeArAdder
+    from ..errors.analytic import analytic_summary, config_from_params
 
-    if "segments" in params:
-        spec = params["segments"]
-        if isinstance(spec, str):
-            config = HeteroGeArConfig.from_string(spec)
-        else:
-            config = HeteroGeArConfig(tuple((int(r), int(p)) for r, p in spec))
-    else:
-        config = HeteroGeArConfig.from_gear_params(
-            int(params["n"]), int(params["r"]), int(params["p"])
-        )
+    config = config_from_params(params)
+    if config is None:
+        raise KeyError("analytic params need 'segments' or 'n', 'r' and 'p'")
     adder = HeteroGeArAdder(config)
     record: Dict[str, Any] = {
         "name": params.get("name", config.name),

@@ -2,13 +2,11 @@
 
 The bit-parallel netlist engine (:mod:`repro.logic.bitsim`) packs 64
 *stimuli* per machine word but still walks one gate at a time.  This
-module packs whole *operations*: several independent N-bit additions
-(or absolute differences, or adder-tree reductions) ride side by side
-in one ``uint64`` NumPy lane, separated by guard bits so their carries
-cannot interact -- the ieee754fpu ``part_mul_add`` idiom, where a
-datapath is cut by *partition points* and approximations (dropped
-inter-block carries, windowed sub-adders) become mask edits on those
-points rather than per-element Python loops.
+module packs whole *operations*: several independent absolute
+differences and adder-tree sums ride side by side in one ``uint64``
+NumPy lane, separated by guard bits so their carries cannot interact --
+the ieee754fpu ``part_mul_add`` idiom, where a datapath is cut by
+*partition points* rather than evaluated by per-element Python loops.
 
 Layout
 ------
@@ -25,38 +23,35 @@ Evaluation primitives
   ``field_bits`` add without any cross-slot carry (the guard bit absorbs
   each field's carry-out), so a plain ``+`` performs ``fields_per_word``
   independent additions;
-* :func:`packed_window_add` -- the GeAr / heterogeneous-GeAr sub-adder
-  equation evaluated on every field at once (each window is shifted,
-  masked at every slot base, summed, and its kept bits OR-ed into the
-  result);
-* :func:`packed_cell_ripple` -- an arbitrary Table III full-adder truth
-  table rippled across a bit range of every field simultaneously, via
-  the eight minterm masks of the cell (the MaskedFullAdder of SNIPPETS);
 * :func:`packed_absdiff` -- the classic SWAR ``|a - b|`` for exact
   subtractor stages (guard-biased subtract, then conditional negate).
 
-The consumers (``eval_mode="partsim"`` on the ripple/GeAr/Hetero
-adders, the recursive multipliers and the SAD accelerator) are proven
-bit-identical to their scalar references through the
-:mod:`repro.verify` oracle registry; :func:`sad_surface` is the
-end-to-end Fig. 8 motion-estimation kernel that the partitioned layer
-accelerates wholesale.
+Consumers
+---------
+:func:`sad_surface` is the end-to-end Fig. 8 motion-estimation kernel
+that the partitioned layer accelerates wholesale, and
+``RecursiveMultiplier(eval_mode="partsim")`` collapses the 8x8
+quadrants of wide multipliers into sub-product tables.  Both are checked
+bit for bit against their references: :func:`sad_surface_reference`
+(the accelerator's own batch ``sad``) and the multiplier's ``auto`` and
+``loop`` paths in the :mod:`repro.verify` oracle registry.  The adders
+and the SAD accelerator's batch ``sad`` have no packed path: measured
+against their default fast paths, packed batch adds and packed SAD
+trees mostly lost (``docs/PERFORMANCE.md`` has the grid).
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from ..adders.ripple import _as_int_array
+
 __all__ = [
     "PartitionLayout",
-    "bit_reverse_permutation",
     "packed_absdiff",
-    "packed_cell_ripple",
-    "packed_window_add",
     "sad_surface",
     "sad_surface_reference",
 ]
@@ -166,133 +161,9 @@ class PartitionLayout:
         return words.view(self.slot_dtype).astype(np.int64)[..., :count]
 
 
-@lru_cache(maxsize=32)
-def bit_reverse_permutation(n: int) -> np.ndarray:
-    """Bit-reversal permutation of ``0..n-1`` (``n`` a power of two).
-
-    Loading a reduction tree's leaves in bit-reversed order makes the
-    *adjacent-pair* tree equal to repeated fold-in-half: after any
-    number of "add first half to second half" steps, element ``j`` of
-    the survivors is exactly the tree's pair ``j`` -- which is what lets
-    the packed SAD tree fold whole words per level while reproducing
-    the even/odd pairing of the physical adder tree bit-for-bit.
-    """
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 1, got {n}")
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
-
-
 # ----------------------------------------------------------------------
 # packed primitives
 # ----------------------------------------------------------------------
-
-def packed_window_add(
-    layout: PartitionLayout,
-    wa: np.ndarray,
-    wb: np.ndarray,
-    windows: Sequence[Tuple[int, int, int, int]],
-    n: int,
-) -> np.ndarray:
-    """Block-adder (GeAr / heterogeneous) sum on every packed field.
-
-    Args:
-        layout: Partition layout; fields must hold ``n + 1`` bits.
-        wa: Packed first operands (payloads masked to ``n`` bits).
-        wb: Packed second operands.
-        windows: Per sub-adder ``(start, width, p, r)``: the sub-adder
-            sums the ``width``-bit operand windows at bit ``start`` with
-            carry-in 0 and contributes its ``r`` result bits above the
-            ``p`` prediction bits (at ``start + p``).  Low to high; the
-            final carry (bit ``n``) is the last window's overflow.
-        n: Operand width in bits.
-
-    Every step is a plain word operation: the window is extracted with a
-    shift and a spread mask, summed (the guard bit absorbs the window
-    carry), and the kept slice OR-ed into the packed result.  Dropping
-    an inter-block carry is therefore literally a partition-mask edit,
-    never a per-element loop.
-    """
-    if n + 1 > layout.slot_bits:
-        raise ValueError(
-            f"fields of {layout.slot_bits} bits cannot hold the "
-            f"{n + 1}-bit block-adder result"
-        )
-    result = np.zeros_like(wa)
-    window_sum = None
-    last_width = 0
-    for start, width, p, r in windows:
-        mask_w = layout.spread((1 << width) - 1)
-        window_sum = ((wa >> start) & mask_w) + ((wb >> start) & mask_w)
-        keep = layout.spread((1 << r) - 1)
-        result = result | (((window_sum >> p) & keep) << (start + p))
-        last_width = width
-    result = result | (((window_sum >> last_width) & layout.base) << n)
-    return result
-
-
-def packed_cell_ripple(
-    layout: PartitionLayout,
-    wa: np.ndarray,
-    wb: np.ndarray,
-    carry: np.ndarray,
-    table: Sequence[Tuple[int, int]],
-    start: int,
-    stop: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Ripple one full-adder cell over bits ``[start, stop)`` of every
-    field simultaneously.
-
-    Args:
-        layout: Partition layout of the packed operands.
-        wa: Packed first operands.
-        wb: Packed second operands.
-        carry: Slot-base-aligned carry-in plane (0/1 at every slot base).
-        table: The cell's 8-row ``(sum, cout)`` truth table indexed by
-            ``(a << 2) | (b << 1) | cin`` -- any Table III cell.
-        start: First bit position to ripple (inclusive).
-        stop: One past the last bit position.
-
-    Returns:
-        ``(sums, carry_out)``: the packed sum bits over ``[start, stop)``
-        (other positions zero) and the base-aligned carry-out plane.
-
-    This is the masked-full-adder evaluation: per bit position the three
-    input planes are extracted at every slot base and the cell's minterm
-    masks select which fields see which truth-table row, so one Python
-    step evaluates the cell across all packed fields at once.
-    """
-    base = layout.base
-    sums = np.zeros_like(wa)
-    for bit in range(start, stop):
-        ap = (wa >> bit) & base
-        bp = (wb >> bit) & base
-        na, nb = ap ^ base, bp ^ base
-        nc = carry ^ base
-        sum_plane = np.zeros_like(wa)
-        cout_plane = np.zeros_like(wa)
-        for row in range(8):
-            s_bit, c_bit = table[row]
-            if not (s_bit or c_bit):
-                continue
-            minterm = (
-                (ap if row & 4 else na)
-                & (bp if row & 2 else nb)
-                & (carry if row & 1 else nc)
-            )
-            if s_bit:
-                sum_plane = sum_plane | minterm
-            if c_bit:
-                cout_plane = cout_plane | minterm
-        sums = sums | (sum_plane << bit)
-        carry = cout_plane
-    return sums, carry
-
 
 def packed_absdiff(
     layout: PartitionLayout, wa: np.ndarray, wb: np.ndarray
@@ -387,8 +258,11 @@ def sad_surface(
     Only exact-cell accelerators are supported (``approx_lsbs == 0``):
     their subtract/abs stage is the SWAR :func:`packed_absdiff` and
     every tree level is a guarded word addition.  Approximate variants
-    evaluate through the accelerator's own packed batch path instead
-    (``SADAccelerator(eval_mode="partsim").sad``).
+    evaluate through the accelerator's batch path instead
+    (``SADAccelerator.sad``, which :func:`sad_surface_reference` calls).
+    Pixels are checked and masked to ``accel.pixel_bits`` as
+    ``SADAccelerator.absolute_differences`` does: a negative pixel
+    raises ``ValueError`` and bits above the pixel width are dropped.
 
     Args:
         accel: A :class:`~repro.accelerators.sad.SADAccelerator` with
@@ -411,8 +285,7 @@ def sad_surface(
         raise ValueError(
             "sad_surface runs the SWAR datapath and supports exact-cell "
             "accelerators only (approx_lsbs == 0); use "
-            "SADAccelerator(eval_mode='partsim').sad for approximate "
-            "variants"
+            "SADAccelerator.sad for approximate variants"
         )
     n_pixels = block_size * block_size
     if accel.n_pixels != n_pixels:
@@ -420,8 +293,9 @@ def sad_surface(
             f"accelerator reduces {accel.n_pixels} pixels but "
             f"block_size={block_size} gives {n_pixels}"
         )
-    cur = np.asarray(cur, dtype=np.int64)
-    ref = np.asarray(ref, dtype=np.int64)
+    pixel_mask = (1 << accel.pixel_bits) - 1
+    cur = _as_int_array(cur) & pixel_mask
+    ref = _as_int_array(ref) & pixel_mask
     if cur.shape != ref.shape or cur.ndim != 2:
         raise ValueError("cur and ref must be 2-D frames of equal shape")
     if block_stride is None:

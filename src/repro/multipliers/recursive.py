@@ -13,6 +13,10 @@ the ones the paper sweeps for Fig. 6 -- are exposed:
 * which approximate 2x2 design is used (``leaf_mul``),
 * the adder cell and number of approximated LSBs in the partial-product
   summation adders (``adder_fa``, ``adder_approx_lsbs``).
+
+``eval_mode`` picks one of three bit-identical engines: ``"auto"``
+(one product table up to 8x8), ``"partsim"`` (an 8x8 sub-product table
+per quadrant of wider multipliers) and the ``"loop"`` reference.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .mul2x2 import Mul2x2Spec, multiplier_2x2
 __all__ = ["RecursiveMultiplier", "LEAF_POLICIES", "PRODUCT_LUT_MAX_WIDTH"]
 
 #: Widest multiplier whose full product table is compiled in
-#: ``eval_mode="auto"``/``"lut"``: a width-8 table has ``2**16`` entries
+#: ``eval_mode="auto"``/``"partsim"``: a width-8 table has ``2**16`` entries
 #: (one 512 KiB int64 array), built lazily with a single vectorized
 #: sweep of the reference recursion.
 PRODUCT_LUT_MAX_WIDTH = 8
@@ -60,9 +64,9 @@ class RecursiveMultiplier:
             partial-product summation adders (a Table III name).
         adder_approx_lsbs: Number of approximated LSBs in each summation
             adder (clamped to the adder's width).
-        eval_mode: Evaluation engine.  ``"auto"`` (default) and
-            ``"lut"`` run the summation adders through the segment/LUT
-            fast path and additionally collapse multipliers up to
+        eval_mode: Evaluation engine.  ``"auto"`` (default) runs the
+            summation adders through the segment/LUT fast path and
+            additionally collapses multipliers up to
             ``PRODUCT_LUT_MAX_WIDTH`` bits into one lazily-built product
             table; ``"partsim"`` additionally collapses every
             half-width-8 *quadrant* of a wider multiplier into its own
@@ -92,7 +96,7 @@ class RecursiveMultiplier:
     ) -> None:
         if not _is_power_of_two(width) or width < 2:
             raise ValueError(f"width must be a power of two >= 2, got {width}")
-        from ..adders.ripple import EVAL_MODES, MAX_WIDTH
+        from ..adders.ripple import MAX_WIDTH
 
         if 2 * width > MAX_WIDTH:
             # The final summation adder is 2*width bits wide and the
@@ -104,9 +108,10 @@ class RecursiveMultiplier:
                 f"beyond the int64-backed maximum of {MAX_WIDTH} bits"
             )
 
-        if eval_mode not in EVAL_MODES:
+        modes = ("auto", "loop", "partsim")
+        if eval_mode not in modes:
             raise ValueError(
-                f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}"
+                f"eval_mode must be one of {modes}, got {eval_mode!r}"
             )
         self.eval_mode = eval_mode
         self._product_lut: np.ndarray | None = None
@@ -144,10 +149,8 @@ class RecursiveMultiplier:
     def _adder(self, width: int) -> ApproximateRippleAdder:
         """Summation adder of the given width (cached per width)."""
         if width not in self._adders:
-            # Inside the partsim multiplier the summation adders run in
-            # "auto": the segment-LUT + native-add path is faster than
-            # packing each partial product into partition words and the
-            # modes are bit-identical anyway.
+            # The adders have no packed path: inside the partsim
+            # multiplier they run their production "auto" engine.
             mode = "auto" if self.eval_mode == "partsim" else self.eval_mode
             self._adders[width] = ApproximateRippleAdder(
                 width,

@@ -154,7 +154,7 @@ def _ripple_lut_mutants(seed: int) -> List[Mutant]:
         if cell == "AccuFA":
             continue
         lut_adder = ApproximateRippleAdder(
-            width, approx_fa=cell, num_approx_lsbs=lsbs, eval_mode="lut"
+            width, approx_fa=cell, num_approx_lsbs=lsbs
         )
         loop_adder = ApproximateRippleAdder(
             width, approx_fa=cell, num_approx_lsbs=lsbs, eval_mode="loop"

@@ -263,7 +263,7 @@ def ripple_paths(
     include_netlist: bool = True,
     eval_mode: Optional[str] = None,
 ) -> Dict[str, Callable]:
-    """LUT / bit-loop / partitioned-SIMD / netlist paths of one adder.
+    """LUT / bit-loop / netlist paths of one adder.
 
     ``eval_mode`` pins the gate-simulation engine of the netlist path
     (``None`` -> process default, the bit-parallel tape) -- the
@@ -274,20 +274,13 @@ def ripple_paths(
         evaluate_adder_netlist,
     )
 
-    lut = ApproximateRippleAdder(
-        width, approx_fa=fa, num_approx_lsbs=lsbs,
-        eval_mode="lut" if lsbs else "auto",
-    )
+    lut = ApproximateRippleAdder(width, approx_fa=fa, num_approx_lsbs=lsbs)
     loop = ApproximateRippleAdder(
         width, approx_fa=fa, num_approx_lsbs=lsbs, eval_mode="loop"
-    )
-    partsim = ApproximateRippleAdder(
-        width, approx_fa=fa, num_approx_lsbs=lsbs, eval_mode="partsim"
     )
     paths: Dict[str, Callable] = {
         "lut": lambda a, b, cin: _ripple_add_cin(lut, a, b, cin),
         "loop": lambda a, b, cin: _ripple_add_cin(loop, a, b, cin),
-        "partsim": lambda a, b, cin: _ripple_add_cin(partsim, a, b, cin),
     }
     if include_netlist:
         netlist = build_ripple_adder_netlist(loop)
@@ -575,7 +568,6 @@ def _gear_oracles() -> List[Oracle]:
         adder = GeArAdder(config)
         paths: Dict[str, Callable] = {
             "window": adder.add,
-            "partsim": GeArAdder(config, eval_mode="partsim").add,
             "pure_python": gear_pure_python(config),
         }
         if r == 1:
@@ -636,9 +628,6 @@ def _hetero_oracles() -> List[Oracle]:
             ),
             paths={
                 "window": adder.add,
-                "partsim": HeteroGeArAdder(
-                    config, eval_mode="partsim"
-                ).add,
                 "pure_python": hetero_pure_python(config),
             },
             laws=tuple(laws),
@@ -745,11 +734,7 @@ def _sad_oracles() -> List[Oracle]:
                 np.asarray(a, dtype=np.int64)
                 - np.asarray(b, dtype=np.int64)
             ).sum(axis=-1),
-            paths={
-                "fused": make("auto"),
-                "loop": make("loop"),
-                "partsim": make("partsim"),
-            },
+            paths={"fused": make("auto"), "loop": make("loop")},
             laws=tuple(laws),
             error_cap=0 if exact else None,
             input_gen=_sad_input_gen(n_pixels, pixel_bits),

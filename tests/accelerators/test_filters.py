@@ -71,6 +71,11 @@ class TestAccelerator:
     def test_name(self):
         assert "ApxFA1" in LowPassFilterAccelerator(fa="ApxFA1").name
 
+    @pytest.mark.parametrize("mode", ["lut", "partsim"])
+    def test_invalid_eval_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="eval_mode"):
+            LowPassFilterAccelerator(eval_mode=mode)
+
 
 class TestDataDependentResilience:
     def test_quality_varies_across_content(self):

@@ -51,6 +51,11 @@ class TestExactSAD:
         with pytest.raises(ValueError, match="approx_lsbs"):
             SADAccelerator(approx_lsbs=-1)
 
+    @pytest.mark.parametrize("mode", ["lut", "partsim"])
+    def test_invalid_eval_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="eval_mode"):
+            SADAccelerator(eval_mode=mode)
+
 
 class TestApproximateSAD:
     @pytest.mark.parametrize("fa", ["ApxFA1", "ApxFA2", "ApxFA3", "ApxFA4", "ApxFA5"])

@@ -51,6 +51,10 @@ class TestConfigValidity:
 
 
 class TestApproximateAddition:
+    def test_takes_no_eval_mode(self):
+        with pytest.raises(TypeError):
+            GeArAdder(GeArConfig(12, 4, 4), eval_mode="window")
+
     def test_no_carry_cases_are_exact(self):
         adder = GeArAdder(GeArConfig(12, 4, 4))
         # Operands without inter-window carries add exactly.

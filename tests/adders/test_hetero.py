@@ -107,6 +107,12 @@ class TestBehaviour:
         # 0xF0 + 0xF0: the last window [0, 8) sums to 0x1E0 -> carry out.
         assert int(adder.add(0xF0, 0xF0)) == 0x1E0
 
+    def test_takes_no_eval_mode(self):
+        with pytest.raises(TypeError):
+            HeteroGeArAdder(
+                HeteroGeArConfig(((4, 0), (4, 2))), eval_mode="partsim"
+            )
+
     def test_negative_operands_rejected(self):
         adder = HeteroGeArAdder(HeteroGeArConfig(((4, 0), (4, 2))))
         with pytest.raises(ValueError, match="non-negative"):

@@ -91,18 +91,10 @@ class TestWideSpotChecks:
 
 
 class TestEngineSelection:
-    def test_invalid_eval_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["vectorized", "lut", "partsim"])
+    def test_invalid_eval_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="eval_mode"):
-            ApproximateRippleAdder(8, eval_mode="vectorized")
-
-    def test_lut_mode_caps_segment_width(self):
-        with pytest.raises(ValueError, match="lut"):
-            ApproximateRippleAdder(
-                32,
-                approx_fa="ApxFA5",
-                num_approx_lsbs=LUT_MAX_BITS + 1,
-                eval_mode="lut",
-            )
+            ApproximateRippleAdder(8, eval_mode=mode)
 
     def test_uses_fast_path_flag(self):
         assert ApproximateRippleAdder(8).uses_fast_path

@@ -88,3 +88,10 @@ class TestFamilySweepsThroughEngine:
         with pytest.raises(KeyError, match="unknown standard image 'lena'"):
             execute_task(task)
 
+
+
+class TestAnalyticParams:
+    def test_width_beyond_int64_adders_rejected(self):
+        task = CampaignTask("analytic", {"n": 64, "r": 64, "p": 0})
+        with pytest.raises(ValueError, match="width"):
+            execute_task(task)

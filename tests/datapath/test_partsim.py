@@ -1,31 +1,24 @@
-"""Partitioned-SIMD evaluator: primitives, eval-mode wiring, surface.
+"""Partitioned-SIMD evaluator: layout, packed |a - b|, SAD surface.
 
-Every packed primitive is checked against plain integer arithmetic or
-the scalar reference datapath, and every ``eval_mode="partsim"``
-component against its default engine -- the same bit-identity contract
-the oracle registry enforces (see
-``tests/properties/test_partsim_properties.py`` for the cross-path
-sweeps).
+The packed primitives are checked against plain integer arithmetic,
+the SAD surface against the accelerator's batch ``sad``, and the
+multiplier's ``eval_mode="partsim"`` against its default engine (see
+``tests/properties/test_partsim_properties.py`` for the registry
+cross-path sweeps).
 """
 
 import numpy as np
 import pytest
 
-from repro.adders.gear import GeArAdder, GeArConfig
-from repro.adders.hetero import HeteroGeArAdder, HeteroGeArConfig
 from repro.adders.ripple import (
     MAX_WIDTH,
     ApproximateRippleAdder,
     ExactAdder,
 )
-from repro.adders.fulladder import FULL_ADDERS
 from repro.accelerators.sad import SADAccelerator
 from repro.datapath.partsim import (
     PartitionLayout,
-    bit_reverse_permutation,
     packed_absdiff,
-    packed_cell_ripple,
-    packed_window_add,
     sad_surface,
     sad_surface_reference,
 )
@@ -94,38 +87,6 @@ class TestPartitionLayout:
         assert np.array_equal(layout.unpack(total, 2), [400, 400])
 
 
-class TestBitReversePermutation:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            bit_reverse_permutation(12)
-
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
-    def test_is_an_involution(self, n):
-        perm = bit_reverse_permutation(n)
-        assert np.array_equal(perm[perm], np.arange(n))
-
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_half_fold_equals_adjacent_pairing(self, n, rng):
-        """The invariant the packed SAD tree rests on: after bit-reversed
-        loading, every "combine first half with second half" fold pairs
-        exactly the (even, odd) operands of the adjacent-pair tree.  The
-        combine function is deliberately asymmetric and non-associative,
-        so any pairing or operand-order drift changes the root value."""
-
-        def combine(even, odd):
-            return 3 * even + odd * odd
-
-        leaves = rng.integers(0, 50, n)
-        loaded = leaves[bit_reverse_permutation(n)]
-        while loaded.size > 1:
-            half = loaded.size // 2
-            loaded = combine(loaded[:half], loaded[half:])
-        reference = leaves.copy()
-        while reference.size > 1:
-            reference = combine(reference[0::2], reference[1::2])
-        assert loaded[0] == reference[0]
-
-
 class TestPackedAbsdiff:
     def test_exhaustive_u8_pairs(self):
         layout = PartitionLayout(9)
@@ -153,131 +114,8 @@ class TestPackedAbsdiff:
         assert np.array_equal(layout.unpack(diff, 4), np.abs(a - b))
 
 
-def _scalar_cell_ripple(table, a, b, cin, start, stop):
-    """Bit-serial reference for one truth-table ripple over [start, stop)."""
-    out = 0
-    carry = cin
-    for bit in range(start, stop):
-        s, c = table[(((a >> bit) & 1) << 2) | (((b >> bit) & 1) << 1) | carry]
-        out |= s << bit
-        carry = c
-    return out, carry
-
-
-class TestPackedCellRipple:
-    @pytest.mark.parametrize("fa", ["AccuFA", "ApxFA2", "ApxFA5"])
-    @pytest.mark.parametrize("cin", [0, 1])
-    def test_exhaustive_small_width(self, fa, cin):
-        width = 4
-        table = FULL_ADDERS[fa].table
-        layout = PartitionLayout(width + 1)
-        a = np.repeat(np.arange(1 << width), 1 << width)
-        b = np.tile(np.arange(1 << width), 1 << width)
-        sums, carry = packed_cell_ripple(
-            layout, layout.pack(a), layout.pack(b),
-            layout.base if cin else np.uint64(0), table, 0, width,
-        )
-        carry_field = layout.unpack(
-            np.bitwise_or(sums, carry << np.uint64(width)), a.size
-        )
-        expect = [
-            _scalar_cell_ripple(table, x, y, cin, 0, width)
-            for x, y in zip(a.tolist(), b.tolist())
-        ]
-        want = np.asarray([s | (c << width) for s, c in expect])
-        assert np.array_equal(carry_field, want)
-
-    def test_partial_bit_range(self, rng):
-        """Rippling only [start, stop) leaves other bits untouched."""
-        table = FULL_ADDERS["ApxFA1"].table
-        layout = PartitionLayout(9)
-        a = rng.integers(0, 256, 500)
-        b = rng.integers(0, 256, 500)
-        sums, carry = packed_cell_ripple(
-            layout, layout.pack(a), layout.pack(b), np.uint64(0),
-            table, 2, 5,
-        )
-        got_sum = layout.unpack(sums, a.size)
-        got_carry = layout.unpack(carry, a.size)
-        expect = [
-            _scalar_cell_ripple(table, x, y, 0, 2, 5)
-            for x, y in zip(a.tolist(), b.tolist())
-        ]
-        assert np.array_equal(got_sum, [s for s, _ in expect])
-        assert np.array_equal(got_carry, [c for _, c in expect])
-
-
-class TestPackedWindowAdd:
-    @pytest.mark.parametrize("cfg", [(8, 2, 2), (11, 1, 5), (12, 4, 4)])
-    def test_matches_gear_window_equation(self, cfg, rng):
-        config = GeArConfig(*cfg)
-        adder = GeArAdder(config)
-        layout = PartitionLayout(config.n + 1)
-        a = rng.integers(0, 1 << config.n, 2000)
-        b = rng.integers(0, 1 << config.n, 2000)
-        windows = [
-            (start, width, 0 if i == 0 else config.p,
-             width if i == 0 else config.r)
-            for i, (start, width) in enumerate(config.sub_adder_windows())
-        ]
-        out = packed_window_add(
-            layout, layout.pack(a), layout.pack(b), windows, config.n
-        )
-        assert np.array_equal(layout.unpack(out, a.size), adder.add(a, b))
-
-    def test_rejects_field_too_narrow_for_carry(self):
-        layout = PartitionLayout(8)  # 16-bit slots
-        with pytest.raises(ValueError, match="cannot hold"):
-            packed_window_add(
-                layout, np.uint64(0), np.uint64(0), [(0, 16, 0, 16)], 16
-            )
-
-
 class TestEvalModeWiring:
-    """`eval_mode="partsim"` is bit-identical to each default engine."""
-
-    @pytest.mark.parametrize("width, fa, lsbs", [
-        (8, "AccuFA", 0), (8, "ApxFA2", 4), (16, "ApxFA1", 6),
-        (31, "ApxFA4", 11), (62, "ApxFA3", 8),
-    ])
-    def test_ripple(self, width, fa, lsbs, rng):
-        ref = ApproximateRippleAdder(width, approx_fa=fa, num_approx_lsbs=lsbs)
-        ps = ApproximateRippleAdder(
-            width, approx_fa=fa, num_approx_lsbs=lsbs, eval_mode="partsim"
-        )
-        a = rng.integers(0, 1 << min(width, 62), 2000)
-        b = rng.integers(0, 1 << min(width, 62), 2000)
-        for cin in (0, 1):
-            assert np.array_equal(ref.add(a, b, cin), ps.add(a, b, cin))
-
-    @pytest.mark.parametrize("cfg", [(8, 1, 1), (8, 2, 2), (16, 1, 7)])
-    def test_gear(self, cfg, rng):
-        config = GeArConfig(*cfg)
-        ref = GeArAdder(config)
-        ps = GeArAdder(config, eval_mode="partsim")
-        a = rng.integers(0, 1 << config.n, 3000)
-        b = rng.integers(0, 1 << config.n, 3000)
-        assert np.array_equal(ref.add(a, b), ps.add(a, b))
-        assert int(ref.add(3, 5)) == int(ps.add(3, 5))
-
-    @pytest.mark.parametrize("segments", [
-        ((4, 0), (2, 2), (2, 2)),
-        ((2, 0), (1, 1), (2, 3)),
-        ((6, 0), (4, 3), (3, 2), (3, 3)),
-    ])
-    def test_hetero(self, segments, rng):
-        config = HeteroGeArConfig(segments)
-        ref = HeteroGeArAdder(config)
-        ps = HeteroGeArAdder(config, eval_mode="partsim")
-        a = rng.integers(0, 1 << config.n, 3000)
-        b = rng.integers(0, 1 << config.n, 3000)
-        assert np.array_equal(ref.add(a, b), ps.add(a, b))
-
-    def test_hetero_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="eval_mode"):
-            HeteroGeArAdder(
-                HeteroGeArConfig(((4, 0), (4, 2))), eval_mode="turbo"
-            )
+    """`eval_mode="partsim"` is bit-identical to the default engine."""
 
     @pytest.mark.parametrize("width", [4, 8, 16])
     def test_recursive_multiplier(self, width, rng):
@@ -302,25 +140,6 @@ class TestEvalModeWiring:
         b = rng.integers(0, 1 << 16, 5000)
         assert np.array_equal(ref.multiply(a, b), ps.multiply(a, b))
 
-    @pytest.mark.parametrize("n_pixels", [1, 2, 16, 64])
-    @pytest.mark.parametrize("fa, lsbs", [("AccuFA", 0), ("ApxFA2", 4)])
-    def test_sad(self, n_pixels, fa, lsbs, rng):
-        ref = SADAccelerator(n_pixels=n_pixels, fa=fa, approx_lsbs=lsbs)
-        ps = SADAccelerator(
-            n_pixels=n_pixels, fa=fa, approx_lsbs=lsbs, eval_mode="partsim"
-        )
-        a = rng.integers(0, 256, (4, 9, n_pixels))
-        b = rng.integers(0, 256, (4, 9, n_pixels))
-        assert np.array_equal(ref.sad(a, b), ps.sad(a, b))
-
-    def test_sad_partsim_needs_power_of_two_pixels(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            SADAccelerator(n_pixels=12, eval_mode="partsim")
-
-    def test_sad_partsim_needs_narrow_pixels(self):
-        with pytest.raises(ValueError, match="pixel_bits"):
-            SADAccelerator(n_pixels=16, pixel_bits=9, eval_mode="partsim")
-
 
 class TestWidthBounds:
     """Satellite fix: int64 reference arithmetic caps adder widths.
@@ -340,7 +159,7 @@ class TestWidthBounds:
         with pytest.raises(ValueError, match="width"):
             cls(width)
 
-    @pytest.mark.parametrize("mode", ["auto", "loop", "partsim"])
+    @pytest.mark.parametrize("mode", ["auto", "loop"])
     def test_boundary_width_carry_is_exact(self, mode):
         """At width 62 the final carry occupies bit 62 of a 63-bit
         result -- the last width where int64 holds it."""
@@ -366,7 +185,7 @@ class TestSadSurface:
         cur = rng.integers(0, 256, shape)
         ref = rng.integers(0, 256, shape)
         got = sad_surface(
-            SADAccelerator(n_pixels=bs * bs, eval_mode="partsim"),
+            SADAccelerator(n_pixels=bs * bs),
             cur, ref, block_size=bs, block_stride=stride, search=search,
         )
         want = sad_surface_reference(
@@ -379,8 +198,7 @@ class TestSadSurface:
         cur = rng.integers(0, 256, (32, 32))
         ref = rng.integers(0, 256, (32, 32))
         got = sad_surface(
-            SADAccelerator(n_pixels=16, eval_mode="partsim"),
-            cur, ref, block_size=4, search=2,
+            SADAccelerator(n_pixels=16), cur, ref, block_size=4, search=2
         )
         want = sad_surface_reference(
             SADAccelerator(n_pixels=16, eval_mode="loop"),
@@ -390,12 +208,30 @@ class TestSadSurface:
 
     def test_identical_frames_zero_at_center(self, rng):
         frame = rng.integers(0, 256, (40, 40))
-        surface = sad_surface(
-            SADAccelerator(64, eval_mode="partsim"), frame, frame, search=2
-        )
+        surface = sad_surface(SADAccelerator(64), frame, frame, search=2)
         center = 2 * (2 * 2 + 1) + 2  # displacement (0, 0)
         assert np.all(surface[center] == 0)
         assert np.all(surface >= 0)
+
+    def test_out_of_range_pixel_masked_like_the_accelerator(self, rng):
+        """Pixels are masked to ``pixel_bits`` as ``sad`` masks them."""
+        cur = rng.integers(0, 256, (32, 32))
+        ref = rng.integers(0, 256, (32, 32))
+        cur[12, 9] = 300
+        acc = SADAccelerator(64)
+        assert np.array_equal(
+            sad_surface(acc, cur, ref, search=2),
+            sad_surface_reference(acc, cur, ref, search=2),
+        )
+
+    def test_negative_pixel_rejected_like_the_accelerator(self, rng):
+        cur = rng.integers(0, 256, (32, 32))
+        ref = rng.integers(0, 256, (32, 32))
+        ref[20, 3] = -5
+        acc = SADAccelerator(64)
+        for surface in (sad_surface, sad_surface_reference):
+            with pytest.raises(ValueError, match="non-negative"):
+                surface(acc, cur, ref, search=2)
 
     def test_approx_accelerator_rejected(self):
         acc = SADAccelerator(64, fa="ApxFA2", approx_lsbs=4)

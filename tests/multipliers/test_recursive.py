@@ -179,6 +179,7 @@ class TestFastPathEquivalence:
         assert fast._product_lut is None  # above PRODUCT_LUT_MAX_WIDTH
         assert np.array_equal(got, loop.multiply(a, b))
 
-    def test_invalid_eval_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["turbo", "lut"])
+    def test_invalid_eval_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="eval_mode"):
-            RecursiveMultiplier(8, eval_mode="turbo")
+            RecursiveMultiplier(8, eval_mode=mode)

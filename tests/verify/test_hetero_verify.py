@@ -22,7 +22,7 @@ class TestRegistry:
 
     def test_oracle_has_independent_paths(self):
         oracle = get_oracle("hetero/3p0-3p2-2p2")
-        assert set(oracle.paths) == {"window", "partsim", "pure_python"}
+        assert set(oracle.paths) == {"window", "pure_python"}
         assert "block0_exact" in oracle.laws
 
     def test_monotone_configs_get_support_law(self):
